@@ -14,16 +14,16 @@ merged-trace determinism contract at scale.
 ``run_scale_scenario(config)``; their merged traces must be
 byte-identical (``ScaleResult.digest``) and their scorecards equal —
 tests and the CI ``scale-smoke`` job pin both. ``run_scale_scenario(
-config, workers=N)`` runs the same scenario on the multiprocess
-:class:`~repro.runtime.parallel.ParallelShardedContext`; the digest
-contract extends across the process boundary (parallel == sequential ==
-single-shard, byte for byte).
+config, workers=N)`` runs the same scenario with the shard hosts in
+worker processes (:class:`~repro.runtime.parallel.
+ParallelShardedContext`); the digest contract extends across the
+process boundary (parallel == sequential == single-shard, byte for
+byte).
 
-The zone build steps live in module-level functions
-(:func:`build_scale_zone` / :func:`finalize_scale_zone`) because worker
-processes re-run them per zone — and the sequential path calls the very
-same functions in zone-rank order, so both backends construct zones
-through one code path.
+Both backends build the zones through the same module-level
+:func:`build_scale_zone` / :func:`finalize_scale_zone` pair, called per
+zone in rank order by the shard hosts (inside the worker processes for
+the parallel backend).
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class ScaleConfig:
 def build_scale_zone(ctx, zone: str, config: ScaleConfig) -> dict:
     """Construct one zone: its fleet, its outage, and — on zone 0 —
     the cross-zone telemetry aggregator. Called per zone in rank order
-    by both backends (inside the worker process for the parallel one).
+    by the shard hosts (inside the worker process for the parallel
+    backend).
     """
     names = config.zone_names()
     index = names.index(zone)
@@ -146,9 +147,8 @@ class ScaleResult:
     context, the per-zone scorecards and the zone-0 aggregate."""
 
     sharded: Any
-    fleets: list[DeviceFleet]
     aggregate: dict
-    zone_scorecards: list[dict] | None = None
+    zone_scorecards: list[dict]
 
     def digest(self) -> str:
         """SHA-256 of the merged trace (shard- and worker-count-
@@ -161,12 +161,10 @@ class ScaleResult:
         Equal — key for key, float for float — between a sharded run,
         its single-shard twin and a multiprocess run.
         """
-        zones = self.zone_scorecards if self.zone_scorecards is not None \
-            else [fleet.scorecard() for fleet in self.fleets]
         return {
-            "devices": sum(z["devices"] for z in zones),
+            "devices": sum(z["devices"] for z in self.zone_scorecards),
             "epochs": self.sharded.epoch,
-            "zones": zones,
+            "zones": self.zone_scorecards,
             "aggregator": self.aggregate,
         }
 
@@ -180,38 +178,24 @@ def run_scale_scenario(config: ScaleConfig = ScaleConfig(),
     twin); *workers* overrides ``config.workers`` — 0 for the
     sequential in-process backend, >= 1 for that many worker processes.
     """
-    shards = config.shards if n_shards is None else n_shards
     n_workers = config.workers if workers is None else workers
     names = config.zone_names()
-
-    if n_workers >= 1:
-        parallel = ParallelShardedContext(
-            seed=config.seed, zones=names, workers=n_workers,
-            link_latency_s=config.link_latency_s,
-            barrier_record_every=config.barrier_record_every,
-            trace_capacity=config.trace_capacity,
-            zone_builder=build_scale_zone, zone_args=config,
-            zone_finalizer=finalize_scale_zone, profile=config.profile)
-        try:
-            parallel.run(until=config.horizon_s)
-            by_zone = parallel.finalize()
-        finally:
-            parallel.close()
-        return ScaleResult(
-            sharded=parallel, fleets=[],
-            aggregate=by_zone[names[0]]["aggregate"],
-            zone_scorecards=[by_zone[name]["scorecard"]
-                             for name in names])
-
-    sharded = ShardedContext(
-        seed=config.seed, zones=names, n_shards=shards,
+    options = dict(
+        seed=config.seed, zones=names,
         link_latency_s=config.link_latency_s,
         barrier_record_every=config.barrier_record_every,
-        trace_capacity=config.trace_capacity, profile=config.profile)
-    states = [build_scale_zone(sharded.zone(name), name, config)
-              for name in names]
-    sharded.run(until=config.horizon_s)
+        trace_capacity=config.trace_capacity,
+        zone_builder=build_scale_zone, zone_args=config,
+        zone_finalizer=finalize_scale_zone, profile=config.profile)
+    if n_workers >= 1:
+        sharded = ParallelShardedContext(workers=n_workers, **options)
+    else:
+        sharded = ShardedContext(
+            n_shards=config.shards if n_shards is None else n_shards,
+            **options)
+    with sharded:
+        sharded.run(until=config.horizon_s)
+        by_zone = sharded.finalize()
     return ScaleResult(
-        sharded=sharded,
-        fleets=[state["fleet"] for state in states],
-        aggregate=states[0]["aggregate"])
+        sharded=sharded, aggregate=by_zone[names[0]]["aggregate"],
+        zone_scorecards=[by_zone[name]["scorecard"] for name in names])

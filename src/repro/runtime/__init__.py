@@ -18,9 +18,10 @@ from repro.runtime.parallel import ParallelShardedContext, ShardWorkerError
 from repro.runtime.shard import (
     SHARD_SCOPED_METRICS,
     ShardedContext,
+    WorkerSpec,
     ZoneRuntime,
 )
-from repro.runtime.shard_worker import ShardWorkerHost, WorkerSpec
+from repro.runtime.shard_worker import ShardWorkerHost
 from repro.runtime.trace import TraceRecord, TraceRecorder, jsonify
 
 __all__ = [

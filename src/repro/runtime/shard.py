@@ -1,13 +1,22 @@
-"""Zone-sharded simulation: conservative epoch barriers over zone runtimes.
+"""Zone-sharded simulation: one coordinator, conservative epoch barriers.
 
 City-scale scenarios (10k+ devices) cannot run through one monolithic
 :class:`~repro.continuum.simulator.Simulator` heap and one global bus.
 A :class:`ShardedContext` partitions the continuum *by zone*: every zone
 gets its own logical runtime view (a :class:`~repro.runtime.context.
 RuntimeContext` with its own RNG seed subtree, trace recorder and traced
-bus), and zones are grouped onto physical shards — one ``Simulator``
-heap per shard. Shards advance independently inside an epoch and
-synchronize at conservative barriers.
+bus), and zones are grouped onto shard hosts
+(:class:`~repro.runtime.shard_worker.ShardWorkerHost`) — one
+``Simulator`` heap per shard. Shards advance independently inside an
+epoch and synchronize at conservative barriers.
+
+The coordinator is the only epoch loop. It drives the hosts through a
+small transport with advance / flush / sync / finalize / close steps
+(plus ``install`` for relay-tap directives): the in-process transport
+here calls the hosts directly and reads zone rings and registries live;
+the pipe transport of :mod:`repro.runtime.parallel` runs each host in a
+worker process. Tap propagation, routing, the merged trace, its digest
+and the metrics fold all live on the coordinator, once.
 
 Determinism argument (the invariant everything here serves): the *zone*,
 not the shard, is the unit of determinism. A zone's seed subtree is
@@ -15,11 +24,12 @@ derived from the root seed and the zone *name* (never the shard id), its
 trace records carry zone-local sequence numbers, and zones interact only
 through the epoch relay, whose buffering and delivery order is a pure
 function of (epoch, zone rank, per-pair sequence). Regrouping zones onto
-a different shard count therefore cannot change any zone's record
-stream, and the merged trace — sorted by ``(time_s, zone rank, zone
-seq)`` — is byte-identical between a single-shard and an N-shard run of
-the same scenario and seed. ``tests/test_sharded.py`` pins this with a
-hypothesis property over random partitions and seeds.
+a different shard count — or into worker processes — therefore cannot
+change any zone's record stream, and the merged trace — sorted by
+``(time_s, zone rank, zone seq)`` — is byte-identical between a
+single-shard, an N-shard and a multiprocess run of the same scenario
+and seed. ``tests/test_sharded.py`` and ``tests/test_parallel_shard.py``
+pin this with hypothesis properties over random partitions and seeds.
 
 Epoch-barrier protocol: the epoch length is bounded by the *lookahead*,
 the minimum cross-zone link latency. Any message published in epoch k
@@ -36,11 +46,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import ConfigurationError, NotFoundError
-from repro.core.rng import derive_seed
 from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
 from repro.obs.spans import SPAN_TOPIC, SpanContext, _RelayScope
@@ -105,12 +115,12 @@ class ZoneRuntime:
         self.relay_scope = _RelayScope({})
 
 
-# -- relay primitives shared by the sequential and multiprocess backends --
+# -- relay primitives ---------------------------------------------------
 #
-# The parallel backend (repro.runtime.parallel / shard_worker) re-runs
-# these exact functions inside worker processes. Byte-identity between
-# the two backends rests on there being ONE implementation of tap
-# buffering, relay delivery and barrier injection — do not fork copies.
+# Every shard host runs these exact functions, in this process or in a
+# worker process. Byte-identity across transports rests on there being
+# ONE implementation of tap buffering, relay delivery and barrier
+# injection — do not fork copies.
 
 def make_relay_tap(src: ZoneRuntime, outbox: list, mark: list):
     """Tap closure buffering *src*'s matching publishes for one
@@ -120,7 +130,7 @@ def make_relay_tap(src: ZoneRuntime, outbox: list, mark: list):
     Alongside ``(send_s, topic, payload)`` the tap captures the open
     span context: bus delivery is synchronous, so the publisher's span
     is still ambient when the tap fires. It is shipped as a plain
-    ``(trace_id, span_id)`` tuple (picklable — the parallel backend
+    ``(trace_id, span_id)`` tuple (picklable — the pipe transport
     routes buffers through worker pipes) and resumed in the destination
     zone by :func:`relay_deliver`, which is how one fault's causal tree
     crosses zones and worker processes."""
@@ -269,50 +279,163 @@ def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
     return count
 
 
-def render_merged_jsonl(rows: Iterable[tuple]) -> str:
-    """Render merged ``(zone_name, time_s, topic, payload, span)`` rows
-    as the canonical deterministic JSONL both backends fingerprint."""
-    lines = []
-    for seq, (zone_name, time_s, topic, payload, span) in enumerate(rows):
-        obj = {"seq": seq, "zone": zone_name, "time_s": time_s,
-               "topic": topic, "payload": payload}
-        if span is not None:
-            obj["span"] = span
-        lines.append(json.dumps(obj, sort_keys=True,
-                                separators=(",", ":")))
-    return "\n".join(lines)
+@dataclass(frozen=True)
+class WorkerSpec:
+    """Everything a shard host needs to build its block of zones.
+
+    ``builder``/``finalizer`` must be module-level callables when the
+    host runs in a worker process (picklable under the ``spawn`` start
+    method). ``zones`` lists *all* zone names in rank order so the host
+    can iterate sources in global rank order at flush time;
+    ``local_ranks`` selects the contiguous block this host owns.
+    """
+
+    worker_id: int
+    seed: int
+    zones: tuple[str, ...]
+    local_ranks: tuple[int, ...]
+    start_time: float
+    trace_capacity: int
+    link_latency_s: float | None
+    epoch_payload: float | None
+    lookahead_payload: float | None
+    builder: Callable[[RuntimeContext, str, Any], Any] | None
+    builder_args: Any
+    finalizer: Callable[[Any, str, Any], Any] | None
 
 
-def append_observability_jsonl(text: str, snapshot: dict,
-                               time_s: float) -> str:
-    """Append ``obs.metrics`` (and, when profiling, ``obs.shard_profile``)
-    rows to a merged-trace JSONL, continuing the global seq — the
-    sharded counterpart of ``RuntimeContext.snapshot_observability``.
-    The rows are appended at export time only; ``digest()`` fingerprints
-    the pure event trace, so exporting observability (whose profile
-    rows carry nondeterministic wall times) never moves the digest."""
-    lines = [text] if text else []
-    seq = text.count("\n") + 1 if text else 0
-    rows = [(METRICS_TOPIC, snapshot["metrics"])]
-    profile = snapshot.get("profile")
-    if profile is not None:
-        rows.append((SHARD_PROFILE_TOPIC, profile))
-    for topic, payload in rows:
-        lines.append(json.dumps(
-            {"seq": seq, "time_s": time_s, "topic": topic,
-             "payload": payload}, sort_keys=True, separators=(",", ":")))
-        seq += 1
-    return "\n".join(lines)
+class _RelayModel:
+    """Coordinator-side tap propagation over subscription patterns.
+
+    ``organic[rank]`` holds the patterns scenario code subscribed on a
+    zone's bus (reported by the shard hosts); ``tap_patterns[rank]`` the
+    patterns of relay taps installed *on* that zone's bus. A refresh
+    pass walks destinations in rank order and, for every destination
+    pattern not yet tapped on a (src, dest) pair, emits a directive and
+    records the tap — which makes the pattern visible to *later*
+    destinations in the same pass (a tap is itself a subscription that
+    other zones relay from). What a pair buffers depends only on the
+    *set* of tapped patterns (matching is any-pattern with per-publish
+    dedup), so sets are all the model needs.
+    """
+
+    def __init__(self, n_zones: int):
+        self.organic: list[set[str]] = [set() for _ in range(n_zones)]
+        self.tap_patterns: list[set[str]] = [set() for _ in range(n_zones)]
+        self.tapped: set[tuple[int, int, str]] = set()
+        self._dirty = True
+        self._rerun = False
+
+    def report(self, rank: int, patterns: Sequence[str]) -> None:
+        self.organic[rank] |= set(patterns)
+        self._dirty = True
+
+    def refresh(self) -> list[tuple[int, int, str]]:
+        """One propagation pass; returns new (src, dest, pattern) tap
+        directives. Re-arms itself when a pass installed taps, since the
+        new tap subscriptions are patterns the next pass relays too."""
+        if not (self._dirty or self._rerun):
+            return []
+        self._dirty = False
+        directives: list[tuple[int, int, str]] = []
+        n = len(self.organic)
+        for dest in range(n):
+            # sorted() only fixes directive order (bus bookkeeping);
+            # relay content is membership-pure.
+            patterns = sorted(self.organic[dest]
+                              | self.tap_patterns[dest])
+            for src in range(n):
+                if src == dest:
+                    continue
+                for pattern in patterns:
+                    key = (src, dest, pattern)
+                    if key in self.tapped:
+                        continue
+                    self.tapped.add(key)
+                    self.tap_patterns[src].add(pattern)
+                    directives.append(key)
+        self._rerun = bool(directives)
+        return directives
+
+
+class _InProcessTransport:
+    """Drives every shard host by direct calls in this process.
+
+    Zone rings and metric registries are read live — nothing is drained
+    or copied — so scenario code may also build and poke zones through
+    :meth:`ShardedContext.zone`.
+    """
+
+    backend = "sequential"
+
+    def __init__(self, specs: list[WorkerSpec]):
+        # shard_worker builds on the relay primitives of this module.
+        from repro.runtime.shard_worker import ShardWorkerHost
+        self.hosts = [ShardWorkerHost(spec) for spec in specs]
+        self.zone_runtimes = [zone for host in self.hosts
+                              for zone in host.zones]
+        self.rings = [zone.ctx.trace for zone in self.zone_runtimes]
+        self.closed = False
+
+    def install(self, directives: list[tuple[int, int, str]]) -> None:
+        for host in self.hosts:
+            host.install_taps(directives)
+
+    def advance(self, t_next: float) -> tuple[dict, list[int]]:
+        remote: dict[tuple[int, int], list] = {}
+        for host in self.hosts:
+            host.advance(t_next)
+            remote.update(host.collect_remote())
+        return remote, [host.advance_ns for host in self.hosts]
+
+    def flush(self, epoch: int, t_barrier: float, remote_for: list[dict],
+              record_barrier: bool) -> tuple[dict, list[int]]:
+        relay = [host.flush(epoch, t_barrier, remote_in, record_barrier)
+                 for host, remote_in in zip(self.hosts, remote_for)]
+        return self.sync(), relay
+
+    def sync(self) -> dict[int, list[str]]:
+        reports: dict[int, list[str]] = {}
+        for host in self.hosts:
+            reports.update(host.pattern_report())
+        return reports
+
+    def finalize(self) -> dict[str, Any]:
+        results: dict[str, Any] = {}
+        for host in self.hosts:
+            results.update(host.finalize())
+        return results
+
+    def close(self) -> None:
+        self.closed = True
+
+    def trace_version(self) -> tuple:
+        return tuple((ring.total_recorded, len(ring)) for ring in self.rings)
+
+    def zone_metrics(self) -> list[dict]:
+        return [zone.ctx.metrics.to_payload() for zone in self.zone_runtimes]
+
+    def events_executed(self) -> int:
+        return sum(host.sim.processed_events for host in self.hosts)
 
 
 class ShardedContext:
-    """Coordinates per-shard simulators under conservative epoch barriers.
+    """Coordinates zone shards under conservative epoch barriers.
 
     ``zones`` fixes the zone names and their ranks (list order); zones
-    are grouped onto ``n_shards`` simulator heaps in contiguous rank
-    blocks. ``link_latency_s`` is the minimum cross-zone link latency —
-    the lookahead that bounds the epoch length; ``epoch_s`` may shorten
-    (never stretch) the epoch below the lookahead.
+    are grouped onto ``n_shards`` shard hosts — one ``Simulator`` heap
+    each — in contiguous rank blocks. ``link_latency_s`` is the minimum
+    cross-zone link latency — the lookahead that bounds the epoch
+    length; ``epoch_s`` may shorten (never stretch) the epoch below the
+    lookahead.
+
+    Zones are built by scenario code through :meth:`zone` after
+    construction, or by a module-level ``zone_builder(ctx, zone_name,
+    zone_args)`` called once per zone in rank order; the results of
+    ``zone_finalizer(state, zone_name, zone_args)`` are collected by
+    :meth:`finalize`. The builder path is the one that also works when
+    the hosts live in worker processes
+    (:class:`~repro.runtime.parallel.ParallelShardedContext`).
 
     The sharding is *invisible* to the scenario: the epoch grid, the
     relay order and every zone's record stream depend only on the zone
@@ -320,16 +443,25 @@ class ShardedContext:
     docstring for the determinism argument.
     """
 
+    #: How the shard hosts are driven: by direct calls in this process.
+    _transport_type: Callable[[list[WorkerSpec]], Any] = _InProcessTransport
+
     def __init__(self, seed: int = 0, zones: Sequence[str] = ("zone-00",),
                  n_shards: int = 1, *, link_latency_s: float | None = None,
                  epoch_s: float | None = None, start_time: float = 0.0,
                  trace_capacity: int = 65536,
-                 barrier_record_every: int = 1, profile: bool = False):
+                 barrier_record_every: int = 1,
+                 zone_builder: Callable | None = None,
+                 zone_args: Any = None,
+                 zone_finalizer: Callable | None = None,
+                 profile: bool = False):
         names = list(zones)
         if not names:
             raise ConfigurationError("at least one zone is required")
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate zone names in {names}")
+        if n_shards < 1:
+            raise ConfigurationError("shard count must be >= 1")
         if link_latency_s is not None and link_latency_s <= 0:
             raise ConfigurationError("cross-zone link latency must be > 0")
         if epoch_s is not None and epoch_s <= 0:
@@ -337,7 +469,7 @@ class ShardedContext:
         if barrier_record_every < 1:
             raise ConfigurationError("barrier_record_every must be >= 1")
         self.seed = int(seed)
-        self.n_shards = max(1, min(int(n_shards), len(names)))
+        self.n_shards = min(int(n_shards), len(names))
         self.link_latency_s = link_latency_s
         #: Conservative lookahead: how far a shard may run ahead without
         #: missing cross-zone traffic. Never smaller than the minimum
@@ -350,65 +482,55 @@ class ShardedContext:
         self._now = self._start
         self._epoch = 0
         self._barrier_record_every = barrier_record_every
-
-        # One DES heap per shard; runtime/ is the allowlisted home for
-        # direct Simulator construction (continuum-lint).
-        from repro.continuum.simulator import Simulator
-        self._sims = [Simulator(start_time) for _ in range(self.n_shards)]
-        self._zones: list[ZoneRuntime] = []
-        self._by_name: dict[str, ZoneRuntime] = {}
+        self._names = names
+        self._ranks = {name: rank for rank, name in enumerate(names)}
         n = len(names)
-        for rank, name in enumerate(names):
-            shard = rank * self.n_shards // n
-            # The seed subtree hangs off the zone *name*: invariant to
-            # zone order, shard count and shard assignment.
-            ctx = RuntimeContext(
-                seed=derive_seed(self.seed, f"shard.zone.{name}"),
-                start_time=start_time, trace_capacity=trace_capacity,
-                sim=self._sims[shard])
-            zone = ZoneRuntime(name, rank, shard, ctx)
-            self._zones.append(zone)
-            self._by_name[name] = zone
-
-        # Relay state: per (src_rank, dest_rank) message buffers filled
-        # by taps during an epoch, drained at the barrier. Markers hold
-        # the last relayed publish id per pair (a publish matching
-        # several tapped patterns is buffered once).
-        self._outbox: dict[tuple[int, int], list] = {}
-        self._marks: dict[tuple[int, int], list[int]] = {}
-        self._tapped: set[tuple[int, int, str]] = set()
-        self._sub_watermark = -1
+        self._shard_of = [rank * self.n_shards // n for rank in range(n)]
+        self._relays = _RelayModel(n)
+        self._final: dict[str, Any] | None = None
 
         # Merged-trace memoization: --check twin comparisons call
         # digest()/scorecard() repeatedly; re-sorting an unchanged trace
-        # is pure waste. The watermark is (seq, len) per zone — any
-        # record appended or evicted since the last merge changes it.
-        self._merge_watermark: tuple | None = None
+        # is pure waste. The transport's trace version changes whenever
+        # a record lands in (or is evicted from) any zone ring.
+        self._merge_version: Any = None
         self._merged: list[tuple[str, TraceRecord]] = []
         self._jsonl: str | None = None
         self._digest: str | None = None
 
         #: Coordinator-side observability (runtime.shard.*): epoch
-        #: progress, relay traffic and per-barrier backlog. Lives on the
-        #: coordinator, not any zone context, so reading it never
-        #: perturbs a zone's trace.
+        #: progress and relay traffic. Lives on the coordinator, not any
+        #: zone context, so reading it never perturbs a zone's trace.
         self.metrics = MetricsRegistry()
         self.metrics.gauge_callback(
             "runtime.shard.epochs", lambda: float(self._epoch),
             "completed epoch barriers")
-        self.metrics.gauge_callback(
-            "runtime.shard.relay.backlog",
-            lambda: float(sum(len(b) for b in self._outbox.values())),
-            "cross-zone messages buffered awaiting the next barrier")
         self._relay_messages = self.metrics.counter(
             "runtime.shard.relay.messages",
-            "cross-zone messages injected at barriers", label_key="zone")
+            "cross-zone messages injected at barriers", label_key="shard")
+        self._relay_routed = self.metrics.counter(
+            "runtime.shard.relay.routed",
+            "cross-shard messages routed through the coordinator")
+
+        epoch_payload = None if self.epoch_s == _INF else self.epoch_s
+        lookahead_payload = None if self.lookahead_s == _INF \
+            else self.lookahead_s
+        specs = [WorkerSpec(
+            worker_id=shard, seed=self.seed, zones=tuple(names),
+            local_ranks=tuple(rank for rank in range(n)
+                              if self._shard_of[rank] == shard),
+            start_time=self._start, trace_capacity=trace_capacity,
+            link_latency_s=link_latency_s, epoch_payload=epoch_payload,
+            lookahead_payload=lookahead_payload, builder=zone_builder,
+            builder_args=zone_args, finalizer=zone_finalizer)
+            for shard in range(self.n_shards)]
+        self._transport = self._transport_type(specs)
 
         #: Opt-in barrier/straggler profiling. Wall times live on the
         #: coordinator (profiler + runtime.shard.epoch.* histograms),
         #: never in a zone trace — profiling cannot move the digest.
-        self.profiler = ShardProfiler(self.n_shards, "sequential") \
-            if profile else None
+        self.profiler = ShardProfiler(
+            self.n_shards, self._transport.backend) if profile else None
         if self.profiler is not None:
             self._h_advance = self.metrics.histogram(
                 "runtime.shard.epoch.advance_seconds",
@@ -418,16 +540,6 @@ class ShardedContext:
                 "runtime.shard.epoch.wait_seconds",
                 "per-shard idle wall time at each epoch barrier",
                 buckets=EPOCH_BUCKETS)
-
-        epoch_payload = None if self.epoch_s == _INF else self.epoch_s
-        lookahead_payload = None if self.lookahead_s == _INF \
-            else self.lookahead_s
-        for zone in self._zones:
-            zone.ctx.publish("shard.partition.assign", {
-                "zone": zone.name, "rank": zone.rank,
-                "epoch_s": epoch_payload,
-                "lookahead_s": lookahead_payload,
-                "time_s": self._start})
 
     @classmethod
     def for_partition(cls, partition: Any, *, seed: int = 0,
@@ -439,31 +551,35 @@ class ShardedContext:
         latency = partition.min_cross_latency_s
         if latency == _INF:
             latency = None
-        return cls(seed=seed, zones=partition.zones, n_shards=n_shards,
-                   link_latency_s=latency, **kwargs)
+        return cls(seed, partition.zones, n_shards, link_latency_s=latency,
+                   **kwargs)
 
     # -- zone access -------------------------------------------------------
 
     @property
     def zones(self) -> list[str]:
         """Zone names in rank order."""
-        return [z.name for z in self._zones]
+        return list(self._names)
 
     @property
     def zone_runtimes(self) -> list[ZoneRuntime]:
-        return list(self._zones)
+        return list(self._transport.zone_runtimes)
 
-    def zone(self, name: str) -> RuntimeContext:
-        """The :class:`RuntimeContext` scenario code builds zone *name* on."""
+    def _rank(self, name: str) -> int:
         try:
-            return self._by_name[name].ctx
+            return self._ranks[name]
         except KeyError:
             raise NotFoundError(f"unknown zone {name!r}") from None
 
+    def zone(self, name: str) -> RuntimeContext:
+        """The :class:`RuntimeContext` scenario code builds zone *name* on."""
+        rank = self._rank(name)
+        return self._transport.zone_runtimes[rank].ctx
+
     def shard_of(self, name: str) -> int:
-        """Physical shard index a zone is grouped on (execution detail —
+        """Shard host index a zone is grouped on (execution detail —
         never observable in the merged trace)."""
-        return self._by_name[name].shard
+        return self._shard_of[self._rank(name)]
 
     @property
     def now(self) -> float:
@@ -475,75 +591,24 @@ class ShardedContext:
         """Completed epoch count."""
         return self._epoch
 
-    # -- cross-zone relay --------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
-    def _refresh_relays(self) -> None:
-        """(Re)install relay taps: for every pattern some zone subscribes
-        to, every *other* zone's bus gets a tap buffering matching
-        publishes for barrier delivery. Idempotent; re-run whenever a
-        subscription was added since the last barrier."""
-        watermark = sum(z.ctx.bus._order for z in self._zones)
-        if watermark == self._sub_watermark:
-            return
-        self._sub_watermark = watermark
-        for dest in self._zones:
-            patterns: list[str] = []
-            seen: set[str] = set()
-            for sub in dest.ctx.bus._subs:
-                if sub.active and sub.pattern not in seen:
-                    seen.add(sub.pattern)
-                    patterns.append(sub.pattern)
-            for src in self._zones:
-                if src is dest:
-                    continue
-                pair = (src.rank, dest.rank)
-                if pair not in self._outbox:
-                    self._outbox[pair] = []
-                    self._marks[pair] = [-1]
-                tap = None
-                for pattern in patterns:
-                    key = (src.rank, dest.rank, pattern)
-                    if key in self._tapped:
-                        continue
-                    if tap is None:
-                        tap = self._make_tap(src, pair)
-                    self._tapped.add(key)
-                    src.ctx.bus.subscribe(pattern, tap)
-        if self._tapped and self.lookahead_s == _INF:
+    def _refresh_taps(self, reports: dict[int, list[str]]) -> None:
+        """Feed subscription reports to the relay model and install the
+        taps it derives. Taps for subscriptions added during an epoch
+        take effect at the barrier — identically for every shard
+        count and transport."""
+        for rank, patterns in reports.items():
+            self._relays.report(rank, patterns)
+        directives = self._relays.refresh()
+        if self._relays.tapped and self.lookahead_s == _INF:
+            self.close()
             raise ConfigurationError(
                 "zones subscribe to each other's topics but no "
                 "cross-zone link latency is configured; pass "
                 "link_latency_s= so the epoch barrier has a lookahead")
-
-    def _make_tap(self, src: ZoneRuntime, pair: tuple[int, int]):
-        return make_relay_tap(src, self._outbox[pair], self._marks[pair])
-
-    def _flush(self, epoch: int, t_barrier: float) -> list[int]:
-        """Barrier: inject buffered cross-zone messages into their
-        destination shards at true arrival times, in deterministic
-        (epoch, zone_rank, seq) order. Returns per-shard injected
-        counts (the profiler's relay column)."""
-        latency = self.link_latency_s or 0.0
-        record_barrier = epoch % self._barrier_record_every == 0
-        relay = [0] * self.n_shards
-        for dest in self._zones:
-            batches = []
-            for src in self._zones:
-                if src is dest:
-                    continue
-                batch = self._outbox.get((src.rank, dest.rank))
-                if batch:
-                    batches.append(batch)
-            count = flush_zone_inbox(dest, batches, latency, epoch,
-                                     t_barrier, record_barrier)
-            for batch in batches:
-                batch.clear()
-            if count:
-                self._relay_messages.inc(count, label=dest.name)
-                relay[dest.shard] += count
-        return relay
-
-    # -- execution ---------------------------------------------------------
+        if directives:
+            self._transport.install(directives)
 
     def run(self, until: float) -> None:
         """Advance every shard to *until* through the epoch-barrier loop.
@@ -552,32 +617,42 @@ class ShardedContext:
         schedule. The epoch grid is anchored at the start time —
         ``barrier(k) = start + (k+1) * epoch_s`` — so it is identical
         for every shard count and for any sequence of ``run()`` calls
-        ending at the same horizon.
+        ending at the same horizon. Each epoch: advance every shard to
+        the barrier, route outboxes bound for another shard, flush
+        (inject) every zone's inbox, then refresh the relay taps from
+        the subscriptions reported after the flush.
         """
+        kind = type(self).__name__
+        transport = self._transport
+        if transport.closed:
+            raise ConfigurationError(f"{kind} is closed")
         deadline = float(until)
         if deadline == _INF:
-            raise ConfigurationError(
-                "ShardedContext.run() needs a finite horizon")
+            raise ConfigurationError(f"{kind}.run() needs a finite horizon")
         if deadline < self._now:
             raise ConfigurationError("run(until=...) lies in the past")
-        self._refresh_relays()
+        self._refresh_taps(transport.sync())
+        profiler = self.profiler
         while self._now < deadline:
             if self.epoch_s == _INF:
                 boundary = deadline
             else:
                 boundary = self._start + (self._epoch + 1) * self.epoch_s
             t_next = min(boundary, deadline)
-            profiler = self.profiler
-            if profiler is not None:
-                advance_ns = []
-                for sim in self._sims:
-                    t0 = profiler.clock()
-                    sim.run(until=t_next)
-                    advance_ns.append(profiler.clock() - t0)
-            else:
-                for sim in self._sims:
-                    sim.run(until=t_next)
-            relay = self._flush(self._epoch, t_next)
+            remote_out, advance_ns = transport.advance(t_next)
+            remote_for: list[dict] = [{} for _ in range(self.n_shards)]
+            routed = 0
+            for (src, dest), batch in remote_out.items():
+                remote_for[self._shard_of[dest]][(src, dest)] = batch
+                routed += len(batch)
+            if routed:
+                self._relay_routed.inc(routed)
+            reports, relay = transport.flush(
+                self._epoch, t_next, remote_for,
+                self._epoch % self._barrier_record_every == 0)
+            for shard, count in enumerate(relay):
+                if count:
+                    self._relay_messages.inc(count, label=f"shard-{shard}")
             if profiler is not None:
                 profiler.record_epoch(self._epoch, t_next, advance_ns,
                                       relay)
@@ -588,48 +663,74 @@ class ShardedContext:
             self._now = t_next
             if boundary <= deadline:
                 self._epoch += 1
-            # Taps for subscriptions added during the epoch take effect
-            # at the barrier — identically for every shard count.
-            self._refresh_relays()
+            self._refresh_taps(reports)
+        # Pull what the last flush produced (worker processes stream
+        # records and metrics back) so the merged views are complete.
+        self._refresh_taps(transport.sync())
+
+    def finalize(self) -> dict[str, Any]:
+        """Collect every zone finalizer's result, keyed by zone name.
+        Idempotent; call it before :meth:`close`."""
+        if self._final is None:
+            if self._transport.closed:
+                raise ConfigurationError(
+                    f"{type(self).__name__} is closed; finalize() before "
+                    "close()")
+            self._final = self._transport.finalize()
+        return self._final
+
+    def close(self) -> None:
+        """Release the shard hosts (worker processes are reaped); the
+        merged trace, digest and finalize() results stay readable."""
+        self._transport.close()
+
+    def __enter__(self) -> "ShardedContext":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # -- merged trace ------------------------------------------------------
 
     @property
     def events_executed(self) -> int:
         """Total DES events executed across every shard heap."""
-        return sum(sim.processed_events for sim in self._sims)
-
-    def _trace_watermark(self) -> tuple:
-        return tuple((z.ctx.trace._seq, len(z.ctx.trace))
-                     for z in self._zones)
+        return self._transport.events_executed()
 
     def merged_records(self) -> list[tuple[str, TraceRecord]]:
         """Every zone's retained records as one globally ordered stream.
 
         Sorted by ``(time_s, zone_rank, zone_seq)`` — a total order that
         is a pure function of the per-zone record streams, hence
-        shard-count-invariant. Memoized until the next record lands
-        (``--check`` twin comparisons hit digest()/scorecard()
-        repeatedly); treat the returned list as read-only.
+        invariant to shard count and transport. Memoized until the next
+        record lands; treat the returned list as read-only.
         """
-        watermark = self._trace_watermark()
-        if watermark != self._merge_watermark:
-            keyed = [(rec.time_s, zone.rank, rec.seq, zone.name, rec)
-                     for zone in self._zones for rec in zone.ctx.trace]
+        version = self._transport.trace_version()
+        if version != self._merge_version:
+            keyed = [(rec.time_s, rank, rec.seq, rec)
+                     for rank, ring in enumerate(self._transport.rings)
+                     for rec in ring]
             keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-            self._merged = [(name, rec) for _, _, _, name, rec in keyed]
+            names = self._names
+            self._merged = [(names[rank], rec) for _, rank, _, rec in keyed]
             self._jsonl = None
             self._digest = None
-            self._merge_watermark = watermark
+            self._merge_version = version
         return self._merged
 
     def to_jsonl(self) -> str:
         """The merged trace as deterministic JSONL (global seq, zone tag)."""
         merged = self.merged_records()
         if self._jsonl is None:
-            self._jsonl = render_merged_jsonl(
-                (name, rec.time_s, rec.topic, rec.payload, rec.span)
-                for name, rec in merged)
+            lines = []
+            for seq, (name, rec) in enumerate(merged):
+                obj = {"seq": seq, "zone": name, "time_s": rec.time_s,
+                       "topic": rec.topic, "payload": rec.payload}
+                if rec.span is not None:
+                    obj["span"] = rec.span
+                lines.append(json.dumps(obj, sort_keys=True,
+                                        separators=(",", ":")))
+            self._jsonl = "\n".join(lines)
         return self._jsonl
 
     def export_jsonl(self, path: str | Path, *,
@@ -637,13 +738,24 @@ class ShardedContext:
         """Write the merged trace to *path*; returns records written.
 
         ``observability=True`` appends the aggregated metrics snapshot
-        (and the profiler payload when profiling) as trailing rows, so
-        one file feeds every ``repro-obs`` subcommand. The digest stays
-        over the pure event trace either way."""
+        (and the profiler payload when profiling) as trailing rows that
+        continue the global seq, so one file feeds every ``repro-obs``
+        subcommand. The digest stays over the pure event trace either
+        way (profile rows carry nondeterministic wall times)."""
         text = self.to_jsonl()
         if observability:
-            text = append_observability_jsonl(
-                text, self.snapshot_observability(), self._now)
+            lines = [text] if text else []
+            seq = len(self.merged_records())
+            snapshot = self.snapshot_observability()
+            rows = [(METRICS_TOPIC, snapshot["metrics"])]
+            if "profile" in snapshot:
+                rows.append((SHARD_PROFILE_TOPIC, snapshot["profile"]))
+            for seq, (topic, payload) in enumerate(rows, start=seq):
+                lines.append(json.dumps(
+                    {"seq": seq, "time_s": self._now, "topic": topic,
+                     "payload": payload}, sort_keys=True,
+                    separators=(",", ":")))
+            text = "\n".join(lines)
         Path(path).write_text(text + ("\n" if text else ""))
         return text.count("\n") + 1 if text else 0
 
@@ -660,17 +772,15 @@ class ShardedContext:
     def aggregate_metrics(self) -> MetricsRegistry:
         """Fold every zone's registry into one global registry.
 
-        Merge order is fixed by zone rank (and, on the parallel twin,
-        deltas are applied in ``(epoch, zone rank)`` order), shard-
-        execution-detail metrics are excluded (:data:`
-        SHARD_SCOPED_METRICS`) and the backend-invariant event total is
-        re-derived from the coordinator — so ``to_payload()`` /
-        ``render_exposition`` are byte-identical across backends and
-        worker counts. Pinned by ``tests/test_obs_sharded.py``."""
+        Merge order is fixed by zone rank, shard-execution-detail
+        metrics are excluded (:data:`SHARD_SCOPED_METRICS`) and the
+        backend-invariant event total is re-derived from the
+        coordinator — so ``to_payload()`` / ``render_exposition`` are
+        byte-identical across shard counts and transports. Pinned by
+        ``tests/test_obs_sharded.py``."""
         registry = MetricsRegistry()
-        for zone in self._zones:
-            registry.merge_payload(zone.ctx.metrics.to_payload(),
-                                   exclude=SHARD_SCOPED_METRICS)
+        for payload in self._transport.zone_metrics():
+            registry.merge_payload(payload, exclude=SHARD_SCOPED_METRICS)
         registry.gauge(
             "continuum.sim.events_executed",
             "DES events executed across every shard heap"
@@ -688,6 +798,6 @@ class ShardedContext:
         return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"ShardedContext(seed={self.seed}, "
-                f"zones={len(self._zones)}, shards={self.n_shards}, "
+        return (f"{type(self).__name__}(seed={self.seed}, "
+                f"zones={len(self._names)}, shards={self.n_shards}, "
                 f"now={self._now}, epoch={self._epoch})")

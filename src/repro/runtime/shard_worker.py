@@ -1,50 +1,47 @@
-"""Worker-process side of the multiprocess shard backend.
+"""Shard host: one ``Simulator`` heap and the zones grouped on it.
 
-One worker process hosts one shard: a single
+A :class:`ShardWorkerHost` owns one shard of a
+:class:`~repro.runtime.shard.ShardedContext`: a single
 :class:`~repro.continuum.simulator.Simulator` heap shared by a
 contiguous rank-block of zones, each with its own
-:class:`~repro.runtime.context.RuntimeContext` — exactly the layout a
-sequential :class:`~repro.runtime.shard.ShardedContext` gives a shard.
-The worker speaks a small message protocol over a duplex pipe with the
-coordinator (:class:`~repro.runtime.parallel.ParallelShardedContext`):
+:class:`~repro.runtime.context.RuntimeContext`. The coordinator drives
+every host through the same steps, either by direct calls (the
+in-process transport) or through :func:`worker_main` in a worker
+process (the pipe transport of :mod:`repro.runtime.parallel`), which
+serves them as messages over a duplex pipe:
 
 ``("advance", t_next, taps)``
-    install coordinator-directed relay taps (derived from the previous
-    barrier's post-flush pattern reports — the sequential backend also
-    refreshes taps after the flush, and nothing publishes between a
-    flush and the next epoch, so the capture set is identical), run the
-    heap to the epoch boundary, reply ``("barrier", remote_outboxes,
-    trace_batches, stats)``. Outboxes destined for zones on *other*
-    workers are shipped as value snapshots; locally-destined buffers
-    stay in place for the flush.
+    install the coordinator's relay-tap directives, run the heap to the
+    epoch boundary, reply ``("barrier", remote_outboxes, advance_ns,
+    trace_batches)``. Outboxes destined for zones on *other* hosts are
+    shipped as value snapshots; locally-destined buffers stay in place
+    for the flush.
 ``("flush", epoch, t_barrier, remote_in, record_barrier)``
-    barrier injection for the worker's local zones — source batches
-    merged from local buffers and coordinator-routed remote batches in
+    barrier injection for the host's zones — source batches merged
+    from local buffers and coordinator-routed remote batches in
     *global* rank order, messages in send order — then reply
-    ``("flushed", pattern_report, metrics_report, stats)`` so
-    subscriptions added during the epoch *or* by flush-time record
-    handlers reach the coordinator's relay model before the next epoch
-    runs, and per-zone metric deltas keep the coordinator's replica
-    payloads current (deterministic aggregation — see
-    ``ShardedContext.aggregate_metrics``).
+    ``("flushed", injected, pattern_report)`` so subscriptions added
+    during the epoch *or* by flush-time record handlers reach the
+    coordinator's relay model before the next epoch runs.
 ``("sync",)`` / ``("finalize",)`` / ``("close",)``
-    drain remaining trace records (plus stats and metric deltas); run
-    the zone finalizers and return their results; exit.
+    report subscription patterns and drain the remaining trace
+    records, metric deltas and event count; run the zone finalizers
+    and return their results (plus the same drain); exit.
 
-Determinism: the worker reuses the *same* tap/delivery/injection
-primitives as the sequential backend (``make_relay_tap``,
+Determinism: hosts run the *same* tap/delivery/injection primitives
+whichever transport drives them (``make_relay_tap``,
 ``flush_zone_inbox`` — single implementation, see
 :mod:`repro.runtime.shard`), the zone seed subtree hangs off the zone
 name, and tap installation order only perturbs bus bookkeeping, never
-delivery order. Any exception is wrapped as ``("error", traceback)`` so
-the coordinator raises instead of deadlocking on a silent barrier.
+delivery order. In a worker process any exception is wrapped as
+``("error", traceback)`` so the coordinator raises instead of
+deadlocking on a silent barrier.
 """
 
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.rng import derive_seed
 from repro.obs.metrics import payload_delta
@@ -52,43 +49,15 @@ from repro.obs.profiler import ShardProfiler
 from repro.runtime.context import RuntimeContext
 from repro.runtime.shard import (
     PARTITION_TOPIC,
+    WorkerSpec,
     ZoneRuntime,
     flush_zone_inbox,
     make_relay_tap,
 )
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a worker needs to rebuild its shard of the scenario.
-
-    ``builder``/``finalizer`` must be module-level callables (picklable
-    under the ``spawn`` start method; under ``fork`` any callable
-    works). ``zones`` lists *all* zone names in rank order so the worker
-    can iterate sources in global rank order at flush time;
-    ``local_ranks`` selects the contiguous block this worker hosts.
-    """
-
-    worker_id: int
-    seed: int
-    zones: tuple[str, ...]
-    local_ranks: tuple[int, ...]
-    start_time: float
-    trace_capacity: int
-    link_latency_s: float | None
-    epoch_payload: float | None
-    lookahead_payload: float | None
-    builder: Callable[[RuntimeContext, str, Any], Any] | None
-    builder_args: Any
-    finalizer: Callable[[Any, str, Any], Any] | None
-
-
 class ShardWorkerHost:
-    """In-process shard host: builds the zones, owns the relay state.
-
-    Also used directly (no subprocess) by ``workers=1`` parallel runs
-    under test — the protocol handlers are plain methods.
-    """
+    """One shard: builds its zones and owns their relay buffers."""
 
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
@@ -118,29 +87,27 @@ class ShardWorkerHost:
             for zone in self.zones:
                 self.state[zone.rank] = spec.builder(
                     zone.ctx, zone.name, spec.builder_args)
-        # Relay plumbing, same shape as the sequential backend: one
-        # outbox/mark per (src, dest) pair, tap closures per refresh
-        # round. Tap subscriptions are tracked so organic pattern
-        # reports exclude them (the coordinator models tap-pattern
-        # propagation itself).
+        # Relay plumbing: one outbox/mark per (src, dest) pair, tap
+        # closures per install round. Tap subscriptions are tracked so
+        # organic pattern reports exclude them (the coordinator models
+        # tap-pattern propagation itself).
         self._outbox: dict[tuple[int, int], list] = {}
         self._marks: dict[tuple[int, int], list[int]] = {}
         self._tap_subs: dict[int, set] = {z.rank: set() for z in self.zones}
         self._order_reported: dict[int, int] = \
             {z.rank: -1 for z in self.zones}
-        self._injected = 0
         # Metrics piggybacking: the last payload snapshot shipped per
         # zone, so each reply carries only the entries that changed.
         self._metrics_sent: dict[int, dict] = \
             {z.rank: {} for z in self.zones}
-        self._advance_ns = 0
+        #: Wall time of the last :meth:`advance` (profiler column).
+        self.advance_ns = 0
 
-    # -- protocol handlers -------------------------------------------------
+    # -- coordinator steps -------------------------------------------------
 
     def pattern_report(self) -> dict[int, list[str]]:
         """Organic (non-tap) subscription patterns per local zone, for
-        zones whose bus gained subscriptions since the last report.
-        Mirrors the sequential backend's subscription watermark."""
+        zones whose bus gained subscriptions since the last report."""
         report: dict[int, list[str]] = {}
         for zone in self.zones:
             order = zone.ctx.bus._order
@@ -159,12 +126,14 @@ class ShardWorkerHost:
         return report
 
     def install_taps(self, directives: list[tuple[int, int, str]]) -> None:
-        """Subscribe coordinator-directed relay taps on local source
-        zones. One tap closure per (src, dest) pair per call — the same
-        sharing the sequential refresh gives one refresh round."""
+        """Subscribe the relay-tap directives whose source zone is local.
+        One tap closure per (src, dest) pair per call, shared by every
+        pattern that pair taps in this round."""
         round_taps: dict[tuple[int, int], Any] = {}
         for src_rank, dest_rank, pattern in directives:
-            src = self.by_rank[src_rank]
+            src = self.by_rank.get(src_rank)
+            if src is None:
+                continue
             pair = (src_rank, dest_rank)
             if pair not in self._outbox:
                 self._outbox[pair] = []
@@ -180,30 +149,13 @@ class ShardWorkerHost:
             # masquerade as an organic subscription next barrier.
             self._order_reported[src_rank] = src.ctx.bus._order
 
-    def metrics_report(self) -> dict[int, dict]:
-        """Per-zone metric deltas since the last report (rank-keyed).
-
-        Rides every reply that closes an epoch (flushed/sync/final) so
-        the coordinator's per-zone replica payloads stay current; deltas
-        are per-metric snapshots, so applying them is a dict update and
-        ordering across zones cannot matter — the coordinator still
-        applies them in (epoch, zone rank) order by construction."""
-        report: dict[int, dict] = {}
-        for zone in self.zones:
-            current = zone.ctx.metrics.to_payload()
-            delta = payload_delta(self._metrics_sent[zone.rank], current)
-            if delta:
-                report[zone.rank] = delta
-                self._metrics_sent[zone.rank] = current
-        return report
-
     def advance(self, t_next: float) -> None:
         t0 = ShardProfiler.clock()
         self.sim.run(until=t_next)
-        self._advance_ns = ShardProfiler.clock() - t0
+        self.advance_ns = ShardProfiler.clock() - t0
 
     def collect_remote(self) -> dict[tuple[int, int], list]:
-        """Snapshot-and-clear outboxes destined for other workers. The
+        """Snapshot-and-clear outboxes destined for other hosts. The
         buffer object itself stays in place — tap closures hold it."""
         remote: dict[tuple[int, int], list] = {}
         for (src_rank, dest_rank), batch in self._outbox.items():
@@ -214,12 +166,14 @@ class ShardWorkerHost:
 
     def flush(self, epoch: int, t_barrier: float,
               remote_in: dict[tuple[int, int], list],
-              record_barrier: bool) -> None:
+              record_barrier: bool) -> int:
         """Barrier injection for local destination zones: source batches
         in global rank order (local buffers and coordinator-routed
-        remote snapshots interleaved by source rank)."""
+        remote snapshots interleaved by source rank). Returns the
+        messages injected."""
         latency = self.spec.link_latency_s or 0.0
         n = len(self.spec.zones)
+        injected = 0
         for dest in self.zones:
             batches = []
             for src_rank in range(n):
@@ -231,11 +185,22 @@ class ShardWorkerHost:
                     batch = remote_in.get((src_rank, dest.rank))
                 if batch:
                     batches.append(batch)
-            count = flush_zone_inbox(dest, batches, latency, epoch,
-                                     t_barrier, record_barrier)
+            injected += flush_zone_inbox(dest, batches, latency, epoch,
+                                         t_barrier, record_barrier)
             for batch in batches:
                 batch.clear()
-            self._injected += count
+        return injected
+
+    def finalize(self) -> dict[str, Any]:
+        results: dict[str, Any] = {}
+        if self.spec.finalizer is not None:
+            for zone in self.zones:
+                results[zone.name] = self.spec.finalizer(
+                    self.state.get(zone.rank), zone.name,
+                    self.spec.builder_args)
+        return results
+
+    # -- worker-process replies --------------------------------------------
 
     def drain_trace(self) -> list[tuple[int, list[tuple]]]:
         """Stream out each local zone's retained records (rank order)
@@ -250,23 +215,28 @@ class ShardWorkerHost:
             zone.ctx.trace.clear()
         return batches
 
-    def stats(self) -> dict[str, int]:
-        return {"events": self.sim.processed_events,
-                "injected": self._injected,
-                "advance_ns": self._advance_ns}
+    def metrics_report(self) -> dict[int, dict]:
+        """Per-zone metric deltas since the last report (rank-keyed).
+        Deltas are whole-entry snapshots, so applying them is a dict
+        update and their order across zones cannot matter."""
+        report: dict[int, dict] = {}
+        for zone in self.zones:
+            current = zone.ctx.metrics.to_payload()
+            delta = payload_delta(self._metrics_sent[zone.rank], current)
+            if delta:
+                report[zone.rank] = delta
+                self._metrics_sent[zone.rank] = current
+        return report
 
-    def finalize(self) -> dict[str, Any]:
-        results: dict[str, Any] = {}
-        if self.spec.finalizer is not None:
-            for zone in self.zones:
-                results[zone.name] = self.spec.finalizer(
-                    self.state.get(zone.rank), zone.name,
-                    self.spec.builder_args)
-        return results
+    def drain(self) -> tuple[list, dict[int, dict], int]:
+        """Trace batches, metric deltas and event count for the
+        coordinator's replicas."""
+        return (self.drain_trace(), self.metrics_report(),
+                self.sim.processed_events)
 
 
 def worker_main(conn, spec: WorkerSpec) -> None:
-    """Subprocess entry point: serve protocol messages until close.
+    """Subprocess entry point: serve coordinator steps until close.
 
     Every exception — build errors included — is reported as
     ``("error", traceback)`` before exit so the coordinator's barrier
@@ -274,8 +244,7 @@ def worker_main(conn, spec: WorkerSpec) -> None:
     """
     try:
         host = ShardWorkerHost(spec)
-        conn.send(("ready", host.pattern_report(),
-                   host.metrics_report()))
+        conn.send(("ready",))
         while True:
             msg = conn.recv()
             cmd = msg[0]
@@ -285,18 +254,15 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                     host.install_taps(taps)
                 host.advance(t_next)
                 conn.send(("barrier", host.collect_remote(),
-                           host.drain_trace(), host.stats()))
+                           host.advance_ns, host.drain_trace()))
             elif cmd == "flush":
-                _, epoch, t_barrier, remote_in, record = msg
-                host.flush(epoch, t_barrier, remote_in, record)
-                conn.send(("flushed", host.pattern_report(),
-                           host.metrics_report(), host.stats()))
+                injected = host.flush(*msg[1:])
+                conn.send(("flushed", injected, host.pattern_report()))
             elif cmd == "sync":
-                conn.send(("trace", host.drain_trace(), host.stats(),
-                           host.metrics_report()))
+                conn.send(("synced", host.pattern_report(),
+                           *host.drain()))
             elif cmd == "finalize":
-                conn.send(("final", host.finalize(), host.drain_trace(),
-                           host.stats(), host.metrics_report()))
+                conn.send(("final", host.finalize(), *host.drain()))
             elif cmd == "close":
                 return
             else:  # pragma: no cover - protocol guard

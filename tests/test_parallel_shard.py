@@ -14,13 +14,15 @@ multiprocessing start method.
 """
 
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.continuum import DeviceFleet, ScaleConfig, run_scale_scenario
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, NotFoundError
+from repro.runtime import parallel as parallel_module
 from repro.runtime import (
     ParallelShardedContext,
     ShardedContext,
@@ -62,14 +64,13 @@ def _finalize_fleet_zone(state: dict, zone: str, args: dict) -> dict:
 
 
 def _sequential_reference(seed, names, devices, horizon):
-    sharded = ShardedContext(seed=seed, zones=names, n_shards=len(names),
-                             link_latency_s=0.5)
     args = {"names": names, "devices": devices}
-    states = [_build_fleet_zone(sharded.zone(name), name, args)
-              for name in names]
-    sharded.run(until=horizon)
-    results = {name: _finalize_fleet_zone(states[i], name, args)
-               for i, name in enumerate(names)}
+    with ShardedContext(
+            seed=seed, zones=names, n_shards=len(names),
+            link_latency_s=0.5, zone_builder=_build_fleet_zone,
+            zone_args=args, zone_finalizer=_finalize_fleet_zone) as sharded:
+        sharded.run(until=horizon)
+        results = sharded.finalize()
     return sharded, results
 
 
@@ -92,16 +93,17 @@ class TestParallelEqualsSequential:
            devices=st.integers(min_value=1, max_value=8))
     def test_digests_scorecards_streams_match(self, seed, n_zones,
                                               workers, devices):
-        """Random partitions/seeds, workers in {1, 2, 4}: identical
-        merged digests, per-zone scorecards and zone-0 delivery
-        streams vs the sequential reference."""
+        """Random partitions/seeds, workers in {1, 2, 4}: both backends
+        build the zones through the same zone_builder and give identical
+        merged digests and finalize() results (per-zone scorecards and
+        the zone-0 delivery stream)."""
         names = _zone_names(n_zones)
         seq_ctx, seq = _sequential_reference(seed, names, devices, 30.0)
         par_ctx, par = _parallel_run(seed, names, workers, devices, 30.0)
         assert par_ctx.digest() == seq_ctx.digest()
-        for name in names:
-            assert par[name]["scorecard"] == seq[name]["scorecard"]
-        assert par[names[0]]["stream"] == seq[names[0]]["stream"]
+        assert par == seq
+        assert set(seq) == set(names)
+        assert seq[names[0]]["stream"]
 
     def test_merged_records_and_jsonl_match_sequential(self):
         names = _zone_names(3)
@@ -160,6 +162,15 @@ def _build_idle_zone(ctx, zone: str, args: dict) -> dict:
     return {}
 
 
+def _build_hanging_zone(ctx, zone: str, args: dict) -> dict:
+    """A process that blocks its worker's heap far past the timeout."""
+    def stall():
+        yield ctx.sim.timeout(1.0)
+        time.sleep(60.0)
+    ctx.sim.process(stall(), name="stall")
+    return {}
+
+
 def _finalize_marker(state, zone: str, args: dict) -> str:
     return f"done-{zone}"
 
@@ -174,6 +185,18 @@ class TestFailureSurfacing:
                 zone_args={"crash_zone": "za"}) as parallel:
             with pytest.raises(ShardWorkerError, match="died|broke"):
                 parallel.run(until=10.0)
+
+    def test_hung_worker_times_out(self, monkeypatch):
+        """A worker that stops replying raises ShardWorkerError once the
+        liveness-polled receive gives up, and the fleet is torn down."""
+        monkeypatch.setattr(parallel_module, "WORKER_TIMEOUT_S", 0.5)
+        with ParallelShardedContext(
+                seed=0, zones=("za",), workers=1, link_latency_s=1.0,
+                zone_builder=_build_hanging_zone) as parallel:
+            with pytest.raises(ShardWorkerError, match="did not reply"):
+                parallel.run(until=5.0)
+            with pytest.raises(ConfigurationError, match="closed"):
+                parallel.run(until=5.0)
 
     def test_build_error_carries_worker_traceback(self):
         with pytest.raises(ShardWorkerError, match="kaboom"):
@@ -203,31 +226,17 @@ class TestFailureSurfacing:
 
 
 class TestParallelContextShape:
-    def test_validation_mirrors_sequential(self):
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=())
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a", "a"))
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), link_latency_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), epoch_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), barrier_record_every=0)
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), workers=0)
-
     def test_worker_count_clamped_and_contiguous(self):
         with ParallelShardedContext(
                 seed=0, zones=_zone_names(3), workers=8,
                 link_latency_s=1.0,
                 zone_builder=_build_idle_zone) as parallel:
-            assert parallel.n_workers == 3
-            owners = [parallel.worker_of(name)
+            assert parallel.n_shards == 3
+            owners = [parallel.shard_of(name)
                       for name in parallel.zones]
             assert owners == sorted(owners)
-            with pytest.raises(ConfigurationError):
-                parallel.worker_of("nope")
+            with pytest.raises(NotFoundError):
+                parallel.shard_of("nope")
 
     def test_zone_access_is_rejected(self):
         with ParallelShardedContext(
@@ -260,7 +269,7 @@ class TestParallelContextShape:
             snapshot = parallel.metrics.to_payload()
             assert snapshot["runtime.shard.epochs"]["value"] == 10.0
             assert snapshot["runtime.shard.relay.messages"]["value"] > 0
-            assert snapshot["runtime.shard.trace.batches"]["value"] > 0
+            assert snapshot["runtime.shard.relay.routed"]["value"] > 0
 
 
 class TestSequentialMemoization:
@@ -298,5 +307,5 @@ class TestSequentialMemoization:
         sharded.run(until=10.0)
         snapshot = sharded.metrics.to_payload()
         assert snapshot["runtime.shard.epochs"]["value"] == 20.0
-        assert snapshot["runtime.shard.relay.backlog"]["value"] == 0.0
+        assert snapshot["runtime.shard.relay.routed"]["value"] == 0
         assert sharded.events_executed > 0

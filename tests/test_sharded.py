@@ -24,7 +24,11 @@ from repro.continuum import (
     run_scale_scenario,
 )
 from repro.core.errors import ConfigurationError, NotFoundError
-from repro.runtime import RuntimeContext, ShardedContext
+from repro.runtime import (
+    ParallelShardedContext,
+    RuntimeContext,
+    ShardedContext,
+)
 
 
 def _fleet_run(seed: int, n_zones: int, n_shards: int,
@@ -272,17 +276,21 @@ class TestEpochRelay:
 
 
 class TestShardedContextShape:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=())
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a", "a"))
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a",), link_latency_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a",), epoch_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a",), barrier_record_every=0)
+    @pytest.mark.parametrize("backend", [ShardedContext,
+                                         ParallelShardedContext],
+                             ids=["sequential", "parallel"])
+    def test_validation(self, backend):
+        """One validation block serves both backends; a shard/worker
+        count below one is rejected, never clamped."""
+        for kwargs in ({"zones": ()}, {"zones": ("a", "a")},
+                       {"zones": ("a",), "link_latency_s": 0.0},
+                       {"zones": ("a",), "epoch_s": -1.0},
+                       {"zones": ("a",), "barrier_record_every": 0}):
+            with pytest.raises(ConfigurationError):
+                backend(**kwargs)
+        for count in (0, -1):
+            with pytest.raises(ConfigurationError):
+                backend(0, ("a",), count)
 
     def test_run_horizon_validation(self):
         sharded = ShardedContext(zones=("a",))
@@ -304,6 +312,13 @@ class TestShardedContextShape:
         sharded = ShardedContext(zones=("a",))
         with pytest.raises(NotFoundError):
             sharded.zone("nope")
+
+    def test_shard_of_unknown_zone_raises_not_found(self):
+        """shard_of rejects an unknown zone the way zone() does."""
+        sharded = ShardedContext(zones=("a", "b"), n_shards=2)
+        assert sharded.shard_of("b") == 1
+        with pytest.raises(NotFoundError, match="nope"):
+            sharded.shard_of("nope")
 
     def test_epoch_grid_is_anchored_at_start(self):
         sharded = ShardedContext(zones=("a", "b"), n_shards=2,

@@ -300,7 +300,7 @@ class PrintTelemetryRule(Rule):
                        "publish on the bus instead")
 
 
-# Canonical and re-exported names of the deprecated context shims:
+# Canonical and re-exported names of the removed context helpers:
 # RuntimeContext.adopt() replaced both.
 _CONTEXT_SHIMS = frozenset({
     "repro.runtime.ensure_context",
@@ -312,58 +312,49 @@ _CONTEXT_SHIMS = frozenset({
 
 @register_rule
 class DeprecatedContextShimRule(Rule):
-    """``ensure_context``/``as_simulator`` are deprecated shims.
+    """``ensure_context``/``as_simulator`` were removed; use ``adopt``.
 
-    ``RuntimeContext.adopt()`` is the one context-injection surface;
-    the old helpers survive only for external callers (they warn) and
-    inside ``repro/runtime/`` itself. Any other in-repo call site is a
-    migration that was missed — flag it so the shims can eventually be
-    deleted. Stragglers with a reason to wait go on the
-    ``context-shim-allowlist``.
+    ``RuntimeContext.adopt()`` is the one context-injection surface.
+    Code written against the old helpers fails at import time; this
+    rule names the replacement for out-of-tree callers before they run.
     """
 
     rule_id = "deprecated-context-shim"
-    description = ("call to deprecated ensure_context()/as_simulator() "
+    description = ("call to removed ensure_context()/as_simulator() "
                    "(use RuntimeContext.adopt)")
     severity = Severity.ERROR
     node_types = (ast.Call,)
 
     def on_node(self, node: ast.Call, ctx: LintContext) -> None:
-        if ctx.config.is_context_shim_allowed(ctx.rel_path):
-            return
         target = ctx.resolve_call_target(node.func)
         if target in _CONTEXT_SHIMS:
             shim = target.rsplit(".", 1)[-1]
             ctx.report(self, node,
-                       f"deprecated context shim {shim}(); use "
+                       f"removed API {shim}(); use "
                        "RuntimeContext.adopt(obj) instead")
 
 
 @register_rule
 class DeprecatedPlaceApiRule(Rule):
-    """``PlacementStrategy.place()`` is a deprecated shim over solve().
+    """``PlacementStrategy.place()`` was removed; use ``solve()``.
 
     The anytime API (``solve(PlacementRequest) -> PlacementResult``)
-    carries budgets, warm starts and solver statistics; ``place()``
-    survives only for external callers (it warns once per call site).
-    Any in-repo ``.place(...)`` call is a migration that was missed.
-    Stragglers with a reason to wait go on the ``place-api-allowlist``
-    (empty by default; tests are always allowed).
+    carries budgets, warm starts and solver statistics. Any
+    ``.place(...)`` call is code written against the removed entry
+    point; the rule names the replacement for out-of-tree callers.
     """
 
     rule_id = "deprecated-place-api"
-    description = ("call to deprecated PlacementStrategy.place() "
+    description = ("call to removed PlacementStrategy.place() "
                    "(build a PlacementRequest and call solve())")
     severity = Severity.ERROR
     node_types = (ast.Call,)
 
     def on_node(self, node: ast.Call, ctx: LintContext) -> None:
-        if ctx.config.is_place_api_allowed(ctx.rel_path):
-            return
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "place":
             ctx.report(self, node,
-                       "deprecated place() API; build a "
+                       "removed API place(); build a "
                        "PlacementRequest and call solve() instead")
 
 

@@ -14,10 +14,11 @@ Solvers implement an *anytime* contract: callers build a
 :class:`PlacementRequest` (problem + deterministic work budget + warm
 start) and get a :class:`PlacementResult` (best placement, cost, lower
 bound, optimality flag, per-backend :class:`SolveStats`) from
-:meth:`PlacementStrategy.solve`. Budgets live on the DES clock — a
-deadline converts to a node allowance via the modeled per-node cost —
-so identical seeds and budgets produce byte-identical results on any
-machine. ``place()`` survives as a deprecated shim over ``solve()``.
+:meth:`PlacementStrategy.solve`, the only entry point. Budgets live on
+the DES clock — a deadline converts to a node allowance via the
+modeled per-node cost — so identical seeds and budgets produce
+byte-identical results on any machine. The one-shot, swarm and exact
+sessions record every incumbent through :meth:`SolveSession._accept`.
 The exact branch-and-bound backend lives in :mod:`repro.mirto.exact`
 and the deadline-raced portfolio in :mod:`repro.mirto.portfolio`.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -408,6 +408,32 @@ class SolveSession:
     deterministic.
     """
 
+    def __init__(self, strategy: "PlacementStrategy",
+                 request: PlacementRequest):
+        self._strategy = strategy
+        self._request = request
+        self._stats = SolveStats(backend=strategy.name)
+        self._best: tuple[Placement, float] | None = None
+
+    def _accept(self, placement: Placement, cost: float) -> None:
+        """Take *placement* as the incumbent if it beats the best so
+        far: count it in the stats and fire ``on_incumbent``."""
+        if self._best is None or cost < self._best[1]:
+            self._best = (placement, cost)
+            self._stats.incumbents += 1
+            self._stats.best_cost = cost
+            callback = self._request.on_incumbent
+            if callback is not None:
+                callback(placement, cost, self._strategy.name)
+
+    def _result(self, optimal: bool = False,
+                lower_bound: float = 0.0) -> PlacementResult:
+        placement, cost = self._best
+        return PlacementResult(
+            placement=placement, cost=cost, optimal=optimal,
+            lower_bound=lower_bound, provenance=self._strategy.name,
+            stats=(self._stats,))
+
     def step(self) -> bool:
         raise NotImplementedError
 
@@ -446,13 +472,6 @@ class _OneShotSession(SolveSession):
     anytime solver never returns without an incumbent).
     """
 
-    def __init__(self, strategy: "PlacementStrategy",
-                 request: PlacementRequest):
-        self._strategy = strategy
-        self._request = request
-        self._stats = SolveStats(backend=strategy.name)
-        self._best: tuple[Placement, float] | None = None
-
     def step(self) -> bool:
         if self._best is not None:
             return False
@@ -471,24 +490,18 @@ class _OneShotSession(SolveSession):
         stats.nodes += 1
         stats.evaluations += 1
         stats.steps += 1
+        # Only the better of heuristic and warm start is offered, so
+        # on_incumbent fires exactly once per one-shot solve.
         warm = _warm_incumbent(request, weight)
         if warm is not None and warm[1] < cost:
             placement, cost = warm
-        self._best = (placement, cost)
-        stats.best_cost = cost
-        stats.incumbents = 1
-        if request.on_incumbent is not None:
-            request.on_incumbent(placement, cost, strategy.name)
+        self._accept(placement, cost)
         return False
 
     def result(self) -> PlacementResult:
         if self._best is None:
             self.step()
-        placement, cost = self._best
-        return PlacementResult(
-            placement=placement, cost=cost, optimal=False,
-            lower_bound=0.0, provenance=self._strategy.name,
-            stats=(self._stats,))
+        return self._result()
 
 
 def _decode_relaxed(position: list[float],
@@ -516,41 +529,28 @@ class _SwarmSession(SolveSession):
     checked between iterations, never inside one, so a solve under a
     given budget is a strict prefix of the unbudgeted solve — same RNG
     draws, same incumbents, just cut short. An unlimited budget runs
-    exactly the strategy's configured ``iterations``, which is what the
-    deprecated ``place()`` shim relies on for bit-compatibility.
+    exactly the strategy's configured ``iterations``.
     """
 
     def __init__(self, strategy: "_CognitiveBase",
                  request: PlacementRequest):
-        self._strategy = strategy
-        self._request = request
-        self._stats = SolveStats(backend=strategy.name)
+        super().__init__(strategy, request)
         self._limit = request.budget.node_limit()
         self._iterations_left = strategy.iterations
         self._gen = None
         self._decode = None
-        self._best: tuple[Placement, float] | None = None
 
     def _count_eval(self) -> None:
         self._stats.evaluations += 1
         self._stats.nodes += 1
-
-    def _offer(self, placement: Placement, cost: float) -> None:
-        if self._best is None or cost < self._best[1]:
-            self._best = (placement, cost)
-            self._stats.incumbents += 1
-            self._stats.best_cost = cost
-            callback = self._request.on_incumbent
-            if callback is not None:
-                callback(placement, cost, self._strategy.name)
 
     def _record(self, encoded, value: float) -> None:
         if encoded is None:
             return
         if self._best is not None and value >= self._best[1]:
             return
-        self._offer(Placement(self._decode(encoded),
-                              self._strategy.name), value)
+        self._accept(Placement(self._decode(encoded),
+                               self._strategy.name), value)
 
     @property
     def _exhausted(self) -> bool:
@@ -565,7 +565,7 @@ class _SwarmSession(SolveSession):
         warm = _warm_incumbent(request, strategy.energy_weight,
                                strategy._cache_for(request.infrastructure))
         if warm is not None:
-            self._offer(*warm)
+            self._accept(*warm)
         self._gen = optimizer.steps(objective)
         self._record(*next(self._gen))  # init population
 
@@ -593,11 +593,7 @@ class _SwarmSession(SolveSession):
             self._record(*next(self._gen))
             self._iterations_left -= 1
             self._stats.steps += 1
-        placement, cost = self._best
-        return PlacementResult(
-            placement=placement, cost=cost, optimal=False,
-            lower_bound=0.0, provenance=self._strategy.name,
-            stats=(self._stats,))
+        return self._result()
 
 
 class PlacementStrategy:
@@ -605,11 +601,11 @@ class PlacementStrategy:
 
     Subclasses either override :meth:`session` (stepping backends:
     swarms, exact, portfolio) or :meth:`_place` (one-shot heuristics,
-    adapted by :class:`_OneShotSession`). :meth:`place` survives as a
-    deprecated shim over :meth:`solve` with identical behavior.
+    adapted by :class:`_OneShotSession`).
     """
 
     name = "abstract"
+    _cost_cache: PlacementCostCache | None = None
 
     def session(self, request: PlacementRequest) -> SolveSession:
         """Start an anytime solve; callers drive ``step()``."""
@@ -622,17 +618,13 @@ class PlacementStrategy:
             pass
         return session.result()
 
-    def place(self, application: Application,
-              infrastructure: Infrastructure,
-              constraints: PlacementConstraints) -> Placement:
-        """Deprecated pre-anytime entry point (shim over solve())."""
-        warnings.warn(
-            "PlacementStrategy.place() is deprecated; build a "
-            "PlacementRequest and call solve() instead",
-            DeprecationWarning, stacklevel=2)
-        request = PlacementRequest(application, infrastructure,
-                                   constraints)
-        return self.solve(request).placement
+    def _cache_for(self, infrastructure) -> PlacementCostCache:
+        """Cost cache bound to *infrastructure*, reused across solves."""
+        cache = self._cost_cache
+        if cache is None or cache.infrastructure is not infrastructure:
+            cache = PlacementCostCache(infrastructure)
+            self._cost_cache = cache
+        return cache
 
     def _place(self, application: Application,
                infrastructure: Infrastructure,
@@ -742,14 +734,36 @@ class _CognitiveBase(PlacementStrategy):
         self.rng = rng
         self.energy_weight = energy_weight
         self.iterations = iterations
-        self._cost_cache: PlacementCostCache | None = None
 
     def session(self, request: PlacementRequest) -> SolveSession:
         return _SwarmSession(self, request)
 
     def _build(self, request: PlacementRequest,
                on_evaluate: Callable[[], None]):
-        """(optimizer, objective, decode) for one anytime solve."""
+        """(optimizer, objective, decode) for one anytime solve.
+
+        The default is the relaxed encoding PSO and firefly search: one
+        score per (task, device), each task taking its argmax device.
+        """
+        tasks, options = self._options_for(request)
+        dims = sum(len(opts) for opts in options)
+        compiled = self._compiled_objective(
+            request.application, request.infrastructure, tasks, options,
+            request.constraints.source_device, on_evaluate)
+
+        def objective(position: list[float]) -> float:
+            return compiled(_decode_relaxed(position, options))
+
+        def decode(position: list[float]) -> dict[str, str]:
+            choices = _decode_relaxed(position, options)
+            return {task.name: options[i][choice].name
+                    for i, (task, choice) in enumerate(zip(tasks,
+                                                           choices))}
+
+        return self._optimizer(dims), objective, decode
+
+    def _optimizer(self, dims: int):
+        """The population optimizer over a *dims*-wide relaxed encoding."""
         raise NotImplementedError
 
     def _options_for(self, request: PlacementRequest
@@ -772,14 +786,6 @@ class _CognitiveBase(PlacementStrategy):
             source_device)
         return latency * (1 - self.energy_weight) \
             + self.energy_weight * energy / 100.0
-
-    def _cache_for(self, infrastructure) -> PlacementCostCache:
-        """Cost cache bound to *infrastructure*, reused across place()."""
-        cache = self._cost_cache
-        if cache is None or cache.infrastructure is not infrastructure:
-            cache = PlacementCostCache(infrastructure)
-            self._cost_cache = cache
-        return cache
 
     def _compiled_objective(self, application, infrastructure, tasks,
                             options, source_device: str | None = None,
@@ -828,24 +834,8 @@ class PsoPlacement(_CognitiveBase):
 
     name = "pso"
 
-    def _build(self, request, on_evaluate):
-        tasks, options = self._options_for(request)
-        dims = sum(len(opts) for opts in options)
-        compiled = self._compiled_objective(
-            request.application, request.infrastructure, tasks, options,
-            request.constraints.source_device, on_evaluate)
-
-        def objective(position: list[float]) -> float:
-            return compiled(_decode_relaxed(position, options))
-
-        def decode(position: list[float]) -> dict[str, str]:
-            choices = _decode_relaxed(position, options)
-            return {task.name: options[i][choice].name
-                    for i, (task, choice) in enumerate(zip(tasks,
-                                                           choices))}
-
-        optimizer = ParticleSwarmOptimizer(dims, self.rng, particles=16)
-        return optimizer, objective, decode
+    def _optimizer(self, dims: int):
+        return ParticleSwarmOptimizer(dims, self.rng, particles=16)
 
 
 class FireflyPlacement(_CognitiveBase):
@@ -853,24 +843,8 @@ class FireflyPlacement(_CognitiveBase):
 
     name = "firefly"
 
-    def _build(self, request, on_evaluate):
-        tasks, options = self._options_for(request)
-        dims = sum(len(opts) for opts in options)
-        compiled = self._compiled_objective(
-            request.application, request.infrastructure, tasks, options,
-            request.constraints.source_device, on_evaluate)
-
-        def objective(position: list[float]) -> float:
-            return compiled(_decode_relaxed(position, options))
-
-        def decode(position: list[float]) -> dict[str, str]:
-            choices = _decode_relaxed(position, options)
-            return {task.name: options[i][choice].name
-                    for i, (task, choice) in enumerate(zip(tasks,
-                                                           choices))}
-
-        optimizer = FireflyOptimizer(dims, self.rng, fireflies=12)
-        return optimizer, objective, decode
+    def _optimizer(self, dims: int):
+        return FireflyOptimizer(dims, self.rng, fireflies=12)
 
 
 class AcoPlacement(_CognitiveBase):

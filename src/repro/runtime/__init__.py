@@ -3,17 +3,11 @@
 :class:`RuntimeContext` owns the canonical simulator (virtual clock),
 the traced event bus, the RNG seed tree and the structured trace
 recorder; :meth:`RuntimeContext.adopt` is the single context-injection
-surface that normalizes legacy ``Simulator``-style injection onto it
-(the old ``ensure_context`` / ``as_simulator`` helpers are deprecated
-shims over it). See DESIGN.md ("Runtime layer").
+surface, and it also wraps a bare ``Simulator`` handed in by the caller.
+See DESIGN.md ("Runtime layer").
 """
 
-from repro.runtime.context import (
-    RuntimeContext,
-    TracedEventBus,
-    as_simulator,
-    ensure_context,
-)
+from repro.runtime.context import RuntimeContext, TracedEventBus
 from repro.runtime.parallel import ParallelShardedContext, ShardWorkerError
 from repro.runtime.shard import (
     SHARD_SCOPED_METRICS,
@@ -36,7 +30,5 @@ __all__ = [
     "TraceRecorder",
     "WorkerSpec",
     "ZoneRuntime",
-    "as_simulator",
-    "ensure_context",
     "jsonify",
 ]

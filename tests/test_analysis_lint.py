@@ -303,27 +303,6 @@ class TestDeprecatedContextShimRule:
         """)
         assert findings == []
 
-    def test_runtime_layer_allowed(self):
-        findings = lint("""
-            from repro.runtime import ensure_context
-            ctx = ensure_context(None)
-        """, path="src/repro/runtime/context.py")
-        assert findings == []
-
-    def test_tests_allowed(self):
-        findings = lint("""
-            from repro.runtime import ensure_context
-            ctx = ensure_context(None)
-        """, path="tests/test_runtime_context.py")
-        assert findings == []
-
-    def test_config_allowlist(self):
-        findings = lint("""
-            from repro.runtime import ensure_context
-            ctx = ensure_context(None)
-        """, context_shim_allowlist=["dpe/tool.py"])
-        assert findings == []
-
 
 class TestDeprecatedPlaceApiRule:
     def test_place_call_flagged(self):
@@ -345,18 +324,6 @@ class TestDeprecatedPlaceApiRule:
             place = lookup("somewhere")
             marker = place
         """)
-        assert findings == []
-
-    def test_tests_allowed(self):
-        findings = lint("""
-            placement = strategy.place(app, infra, constraints)
-        """, path="tests/test_placement.py")
-        assert findings == []
-
-    def test_config_allowlist(self):
-        findings = lint("""
-            placement = strategy.place(app, infra, constraints)
-        """, place_api_allowlist=["dpe/tool.py"])
         assert findings == []
 
 

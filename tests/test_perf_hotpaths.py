@@ -23,6 +23,7 @@ from repro.mirto.placement import (
     Placement,
     PlacementConstraints,
     PlacementCostCache,
+    PlacementRequest,
     PsoPlacement,
     estimate_placement_kpis,
 )
@@ -187,8 +188,9 @@ class TestPlacementCostCache:
         results = []
         for _ in range(2):
             infra = build_reference_infrastructure(Simulator())
-            placement = PsoPlacement(random.Random(7), iterations=5).place(
-                _app(), infra, PlacementConstraints(source_device="mc-00-0"))
+            placement = PsoPlacement(random.Random(7), iterations=5).solve(
+                PlacementRequest(_app(), infra, PlacementConstraints(
+                    source_device="mc-00-0"))).placement
             results.append(placement.assignment)
         assert results[0] == results[1]
 

@@ -15,6 +15,7 @@ from repro.continuum import (
 from repro.continuum.workload import Application, KernelClass, PrivacyClass
 from repro.mirto.placement import (
     PlacementConstraints,
+    PlacementRequest,
     eligible_devices,
     estimate_placement_kpis,
     execute_placement,
@@ -101,8 +102,8 @@ class TestStrategies:
         infrastructure = infra()
         app = pipeline_app()
         strategy = make_strategy(name, random.Random(0))
-        placement = strategy.place(app, infrastructure,
-                                   PlacementConstraints())
+        placement = strategy.solve(PlacementRequest(
+            app, infrastructure, PlacementConstraints())).placement
         assert set(placement.assignment) == {"ingest", "process",
                                              "report"}
         for device_name in placement.assignment.values():
@@ -126,17 +127,18 @@ class TestStrategies:
                 min_security_level="high")))
         strategy = make_strategy("greedy")
         with pytest.raises(OrchestrationError, match="no eligible"):
-            strategy.place(impossible, infrastructure,
-                           PlacementConstraints(
-                               min_security_level="high"))
+            strategy.solve(PlacementRequest(
+                impossible, infrastructure,
+                PlacementConstraints(min_security_level="high")))
 
     def test_greedy_beats_random_on_estimate(self):
         infrastructure = infra()
         app = pipeline_app()
-        greedy = make_strategy("greedy").place(
-            app, infrastructure, PlacementConstraints())
-        rnd = make_strategy("random", random.Random(4)).place(
-            app, infrastructure, PlacementConstraints())
+        greedy = make_strategy("greedy").solve(PlacementRequest(
+            app, infrastructure, PlacementConstraints())).placement
+        rnd = make_strategy("random", random.Random(4)).solve(
+            PlacementRequest(app, infrastructure,
+                             PlacementConstraints())).placement
         g_lat, _ = estimate_placement_kpis(app, greedy, infrastructure)
         r_lat, _ = estimate_placement_kpis(app, rnd, infrastructure)
         assert g_lat <= r_lat * 1.01
@@ -145,13 +147,14 @@ class TestStrategies:
         infrastructure = infra()
         app = pipeline_app()
         constraints = PlacementConstraints()
-        greedy = make_strategy("greedy").place(app, infrastructure,
-                                               constraints)
+        greedy = make_strategy("greedy").solve(PlacementRequest(
+            app, infrastructure, constraints)).placement
         g_lat, g_energy = estimate_placement_kpis(app, greedy,
                                                   infrastructure)
         for name in ("pso", "aco"):
-            cognitive = make_strategy(name, random.Random(0)).place(
-                app, infrastructure, constraints)
+            cognitive = make_strategy(name, random.Random(0)).solve(
+                PlacementRequest(app, infrastructure,
+                                 constraints)).placement
             c_lat, c_energy = estimate_placement_kpis(
                 app, cognitive, infrastructure)
             # Cognitive optimizes a blended objective: allow slightly
@@ -165,8 +168,8 @@ class TestExecution:
     def test_execution_report_fields(self):
         infrastructure = infra()
         app = pipeline_app()
-        placement = make_strategy("greedy").place(
-            app, infrastructure, PlacementConstraints())
+        placement = make_strategy("greedy").solve(PlacementRequest(
+            app, infrastructure, PlacementConstraints())).placement
         report = execute_placement(app, placement, infrastructure)
         assert report.makespan_s > 0
         assert report.energy_j > 0
@@ -216,8 +219,9 @@ class TestFireflyStrategy:
     def test_firefly_produces_valid_placement(self):
         infrastructure = infra()
         app = pipeline_app()
-        placement = make_strategy("firefly", random.Random(0)).place(
-            app, infrastructure, PlacementConstraints())
+        placement = make_strategy("firefly", random.Random(0)).solve(
+            PlacementRequest(app, infrastructure,
+                             PlacementConstraints())).placement
         assert set(placement.assignment) == {"ingest", "process",
                                              "report"}
         assert placement.strategy == "firefly"
@@ -226,10 +230,10 @@ class TestFireflyStrategy:
         infrastructure = infra()
         app = pipeline_app()
         constraints = PlacementConstraints()
-        firefly = make_strategy("firefly", random.Random(1)).place(
-            app, infrastructure, constraints)
-        rnd = make_strategy("random", random.Random(1)).place(
-            app, infrastructure, constraints)
+        firefly = make_strategy("firefly", random.Random(1)).solve(
+            PlacementRequest(app, infrastructure, constraints)).placement
+        rnd = make_strategy("random", random.Random(1)).solve(
+            PlacementRequest(app, infrastructure, constraints)).placement
         f_lat, _ = estimate_placement_kpis(app, firefly, infrastructure)
         r_lat, _ = estimate_placement_kpis(app, rnd, infrastructure)
         assert f_lat <= r_lat * 1.05

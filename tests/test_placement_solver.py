@@ -6,7 +6,8 @@ deterministic serialization), the exact branch-and-bound backend
 budgets), the deadline-raced portfolio (never worse than any single
 lane at equal budget, provenance, early optimality stop), the
 latency-SLO feasibility fix in the one-shot heuristics, and the
-deprecated ``place()`` shim.
+anytime contract every strategy shares (incumbent callbacks and stats,
+swarm budgets as prefixes of the unbudgeted run).
 """
 
 import itertools
@@ -142,30 +143,6 @@ class TestExactBackend:
         assert warm.cost <= cold.cost + 1e-12
         assert warm.optimal
 
-    def test_incumbent_callback_costs_decrease(self):
-        infrastructure = infra()
-        app = pipeline_app(5)
-        seen = []
-        ExactPlacement().solve(request_for(
-            app, infrastructure,
-            on_incumbent=lambda p, c, b: seen.append((c, b))))
-        assert seen
-        costs = [c for c, _ in seen]
-        assert costs == sorted(costs, reverse=True)
-        assert all(b == "exact" for _, b in seen)
-
-    def test_stats_recorded(self):
-        infrastructure = infra()
-        app = pipeline_app(4)
-        result = ExactPlacement().solve(request_for(app, infrastructure))
-        stats = result.stats[0]
-        assert stats.backend == "exact"
-        assert stats.nodes > 0
-        assert stats.evaluations >= 1
-        assert stats.proven_optimal
-        payload = stats.to_payload()
-        assert payload["backend"] == "exact"
-
 
 class TestPortfolio:
     def test_beats_or_ties_every_single_lane(self):
@@ -288,33 +265,6 @@ class TestLatencySloFeasibility:
         assert len(devices) == len(infrastructure.devices)
 
 
-class TestDeprecatedShim:
-    def test_place_warns_and_matches_solve(self):
-        infrastructure = infra()
-        app = pipeline_app(3)
-        constraints = PlacementConstraints(source_device="mc-00-0")
-        with pytest.warns(DeprecationWarning):
-            shimmed = GreedyPlacement().place(app, infrastructure,
-                                              constraints)
-        solved = GreedyPlacement().solve(PlacementRequest(
-            application=app, infrastructure=infrastructure,
-            constraints=constraints)).placement
-        assert shimmed.assignment == solved.assignment
-
-    def test_swarm_shim_preserves_rng_stream(self):
-        infrastructure = infra()
-        app = pipeline_app(4)
-        constraints = PlacementConstraints(source_device="mc-00-0")
-        with pytest.warns(DeprecationWarning):
-            shimmed = PsoPlacement(random.Random(9), iterations=8).place(
-                app, infrastructure, constraints)
-        solved = PsoPlacement(random.Random(9), iterations=8).solve(
-            PlacementRequest(application=app,
-                             infrastructure=infrastructure,
-                             constraints=constraints)).placement
-        assert shimmed.assignment == solved.assignment
-
-
 def _random_instance(seed, n_tasks):
     rng = random.Random(seed)
     app = Application(f"prop-{seed}")
@@ -329,6 +279,103 @@ def _random_instance(seed, n_tasks):
         app.connect(f"t{pred}", f"t{i}",
                     rng.randrange(1_000, 120_000))
     return app
+
+
+STRATEGY_NAMES = ("random", "round-robin", "greedy", "swarm-rule", "pso",
+                  "aco", "firefly", "exact", "portfolio")
+ONE_SHOT_NAMES = ("random", "round-robin", "greedy", "swarm-rule")
+SWARMS = {"pso": PsoPlacement, "aco": AcoPlacement,
+          "firefly": FireflyPlacement}
+
+
+class TestAnytimeContract:
+    @pytest.mark.parametrize("name,warm", [
+        *(pytest.param(n, False, id=n) for n in STRATEGY_NAMES),
+        *(pytest.param(n, True, id=f"{n}-warm") for n in ONE_SHOT_NAMES),
+    ])
+    def test_incumbent_callback_costs_decrease(self, name, warm):
+        infrastructure = infra()
+        # An instance on which every one-shot heuristic misses the
+        # optimum, so the optimum is a strictly cheaper warm start.
+        app = _random_instance(8, 5)
+        warm_start = None
+        if warm:
+            optimum = ExactPlacement().solve(
+                request_for(app, infrastructure))
+            cold = make_strategy(name, random.Random(3)).solve(
+                request_for(app, infrastructure))
+            assert optimum.cost < cold.cost
+            warm_start = optimum.placement
+        seen = []
+        result = make_strategy(name, random.Random(3)).solve(request_for(
+            app, infrastructure, warm_start=warm_start,
+            on_incumbent=lambda p, c, b: seen.append((c, b))))
+        costs = [c for c, _ in seen]
+        assert costs
+        assert all(a > b for a, b in zip(costs, costs[1:]))
+        assert result.cost == costs[-1]
+        if name == "portfolio":
+            # Lane incumbents reach the caller only when they beat the
+            # shared best.
+            assert {b for _, b in seen} <= set(
+                PortfolioPlacement.DEFAULT_BACKENDS)
+            assert sum(s.incumbents for s in result.stats) >= len(seen)
+        else:
+            assert all(b == name for _, b in seen)
+            assert result.stats[0].incumbents == len(seen)
+        if name in ONE_SHOT_NAMES:
+            assert len(seen) == 1
+        if warm:
+            assert result.placement.assignment == warm_start.assignment
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_stats_recorded(self, name):
+        infrastructure = infra()
+        app = pipeline_app(4)
+        result = make_strategy(name, random.Random(3)).solve(
+            request_for(app, infrastructure))
+        expected = PortfolioPlacement.DEFAULT_BACKENDS \
+            if name == "portfolio" else (name,)
+        assert tuple(s.backend for s in result.stats) == expected
+        for stats in result.stats:
+            assert stats.nodes > 0
+            assert stats.evaluations >= 1
+            assert stats.to_payload()["backend"] == stats.backend
+        assert result.optimal == (name in ("exact", "portfolio"))
+        if name != "portfolio":
+            assert result.stats[0].proven_optimal == result.optimal
+
+    @pytest.mark.parametrize("name", SWARMS)
+    def test_swarm_unlimited_budget_runs_configured_iterations(self,
+                                                                name):
+        infrastructure = infra()
+        app = pipeline_app(4)
+        for iterations in (1, 7):
+            result = SWARMS[name](random.Random(9),
+                                  iterations=iterations).solve(
+                request_for(app, infrastructure))
+            # One slice for the initial population, one per iteration.
+            assert result.stats[0].steps == iterations + 1
+
+    @pytest.mark.parametrize("name", SWARMS)
+    def test_swarm_budgeted_incumbents_prefix_unbudgeted(self, name):
+        infrastructure = infra()
+        app = pipeline_app(5)
+
+        def incumbents(budget):
+            seen = []
+            SWARMS[name](random.Random(9), iterations=12).solve(
+                request_for(app, infrastructure, budget=budget,
+                            on_incumbent=lambda p, c, b: seen.append(
+                                (dict(p.assignment), c))))
+            return seen
+
+        full = incumbents(SolveBudget())
+        cuts = [incumbents(SolveBudget(max_nodes=n))
+                for n in (1, 10, 40, 150)]
+        for cut in cuts:
+            assert cut and cut == full[:len(cut)]
+        assert len(cuts[0]) < len(full)
 
 
 class TestSolverProperties:

@@ -11,6 +11,7 @@ from repro.dpe.frevo import SwarmRule
 from repro.mirto import CognitiveEngine, EngineConfig, make_strategy
 from repro.mirto.placement import (
     PlacementConstraints,
+    PlacementRequest,
     estimate_placement_kpis,
 )
 from repro.mirto.swarm_rules import (
@@ -36,8 +37,8 @@ class TestRuleBasedPlacement:
     def test_produces_complete_placement(self):
         infrastructure = build_reference_infrastructure(Simulator())
         app = pipeline_scenario().to_application()
-        placement = RuleBasedPlacement().place(
-            app, infrastructure, PlacementConstraints())
+        placement = RuleBasedPlacement().solve(PlacementRequest(
+            app, infrastructure, PlacementConstraints())).placement
         assert set(placement.assignment) == {"a", "b", "c"}
         assert placement.strategy == "swarm-rule"
 
@@ -49,8 +50,8 @@ class TestRuleBasedPlacement:
         infrastructure = build_reference_infrastructure(Simulator())
         app = pipeline_scenario().to_application()
         rule = SwarmRule(0.0, 1.0, 0.0, 0.0, 0.0)  # latency only
-        placement = RuleBasedPlacement(rule).place(
-            app, infrastructure, PlacementConstraints())
+        placement = RuleBasedPlacement(rule).solve(PlacementRequest(
+            app, infrastructure, PlacementConstraints())).placement
         # DSP task lands on an accelerator or the fastest machine.
         device = infrastructure.device(placement.device_of("b"))
         assert device.speedup_for(app.task("b")) > 1.0 \
@@ -62,10 +63,10 @@ class TestRuleBasedPlacement:
         energy_rule = SwarmRule(0.0, 0.0, 1.0, 0.0, 0.0)
         latency_rule = SwarmRule(0.0, 1.0, 0.0, 0.0, 0.0)
         constraints = PlacementConstraints()
-        e_place = RuleBasedPlacement(energy_rule).place(
-            app, infrastructure, constraints)
-        l_place = RuleBasedPlacement(latency_rule).place(
-            app, infrastructure, constraints)
+        e_place = RuleBasedPlacement(energy_rule).solve(PlacementRequest(
+            app, infrastructure, constraints)).placement
+        l_place = RuleBasedPlacement(latency_rule).solve(PlacementRequest(
+            app, infrastructure, constraints)).placement
         _, e_energy = estimate_placement_kpis(app, e_place,
                                               infrastructure)
         _, l_energy = estimate_placement_kpis(app, l_place,
@@ -79,9 +80,9 @@ class TestRuleBasedPlacement:
         trusted["cloud-00"] = 0.0
         trusted["cloud-01"] = 0.0
         rule = SwarmRule(0.0, 0.1, 0.0, 5.0, 0.0)  # trust dominates
-        placement = RuleBasedPlacement(rule).place(
+        placement = RuleBasedPlacement(rule).solve(PlacementRequest(
             app, infrastructure,
-            PlacementConstraints(trusted=trusted))
+            PlacementConstraints(trusted=trusted))).placement
         assert not any(d.startswith("cloud")
                        for d in placement.assignment.values())
 
@@ -91,8 +92,8 @@ class TestRuleBasedPlacement:
         infrastructure = build_reference_infrastructure(Simulator())
         app = pipeline_scenario().to_application()
         rule = SwarmRule(10.0, 0.01, 0.0, 0.0, 0.0)
-        placement = RuleBasedPlacement(rule).place(
-            app, infrastructure, PlacementConstraints())
+        placement = RuleBasedPlacement(rule).solve(PlacementRequest(
+            app, infrastructure, PlacementConstraints())).placement
         assert len(set(placement.assignment.values())) > 1
 
     def test_exploration_uses_rng(self):
@@ -102,8 +103,8 @@ class TestRuleBasedPlacement:
         seen = set()
         for seed in range(5):
             placement = RuleBasedPlacement(
-                rule, random.Random(seed)).place(
-                app, infrastructure, PlacementConstraints())
+                rule, random.Random(seed)).solve(PlacementRequest(
+                    app, infrastructure, PlacementConstraints())).placement
             seen.add(tuple(sorted(placement.assignment.items())))
         assert len(seen) > 1
 
@@ -122,8 +123,8 @@ class TestRuleEvolution:
         infrastructure = factory()
         constraints = PlacementConstraints(
             min_security_level=scenario.min_security_level)
-        default_place = RuleBasedPlacement(DEFAULT_RULE).place(
-            app, infrastructure, constraints)
+        default_place = RuleBasedPlacement(DEFAULT_RULE).solve(
+            PlacementRequest(app, infrastructure, constraints)).placement
         latency, energy = estimate_placement_kpis(
             app, default_place, infrastructure)
         default_fitness = -(latency + 0.05 * energy)

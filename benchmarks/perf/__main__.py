@@ -26,6 +26,10 @@ _REPO_ROOT = Path(__file__).resolve().parents[2]
 DEFAULT_OUT = _REPO_ROOT / "BENCH_perf.json"
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
+#: The mid-``**`` literal guards must reject non-matching patterns at
+#: least this many times faster than the raw NFA walk.
+MIN_MIDGLOB_SPEEDUP = 3.0
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -87,31 +91,35 @@ def main(argv: list[str] | None = None) -> int:
     # Same-run ratio gates (no committed baseline needed), re-measured
     # as interleaved pairs so machine-wide drift lands on both sides of
     # every round — observability cannot silently eat dispatch-path
-    # wins, and a background process cannot fake a regression.
+    # wins, and a background process cannot fake a regression. Each
+    # gate holds the cost ratio a/b at or below its limit.
     gates = [
         ("span overhead", "SPAN OVERHEAD",
          "obs.span.publish.enabled", "obs.span.publish.disabled",
-         "enabled", "disabled"),
+         "enabled", "disabled", args.max_span_overhead),
         # Relaying spans across zones (capture, ship, resume, child
         # span per delivery) must stay a thin layer over the bare relay.
         ("cross-shard span propagation overhead",
          "CROSS-SHARD SPAN OVERHEAD",
          "obs.span.crossshard", "bus.publish.crossshard",
-         "with spans", "bare relay"),
+         "with spans", "bare relay", args.max_span_overhead),
+        ("midglob guard cost vs the raw NFA walk",
+         "MIDGLOB GUARD SPEEDUP",
+         "bus.match.midglob.guarded", "bus.match.midglob.reference",
+         "guarded", "raw NFA walk", 1.0 / MIN_MIDGLOB_SPEEDUP),
     ]
-    for label, fail_label, name_a, name_b, desc_a, desc_b in gates:
+    for label, fail_label, name_a, name_b, desc_a, desc_b, limit in gates:
         if name_a not in results or name_b not in results:
             continue
         ratio, a_ns, b_ns = measure_pair_ratio(
-            name_a, name_b, quick=args.quick,
-            target=args.max_span_overhead)
+            name_a, name_b, quick=args.quick, target=limit)
         print(f"\n{label}: {ratio:.2f}x "
               f"({desc_a} {a_ns:,.0f} ns/op vs "
               f"{desc_b} {b_ns:,.0f} ns/op, "
-              f"limit {args.max_span_overhead:g}x)")
-        if args.check and ratio > args.max_span_overhead:
+              f"limit {limit:.2f}x)")
+        if args.check and ratio > limit:
             print(f"\n{fail_label}: {ratio:.2f}x exceeds "
-                  f"{args.max_span_overhead:g}x", file=sys.stderr)
+                  f"{limit:.2f}x", file=sys.stderr)
             return 1
     return 0
 

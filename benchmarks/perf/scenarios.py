@@ -73,6 +73,45 @@ for _kind in ("exact", "star", "midglob"):
     _register_bus(_kind, 1000, 500)
 
 
+# The pair behind the midglob guard gate: the bus.publish.midglob.1000
+# patterns and topics, matched by the guarded compiled matchers and by
+# the raw NFA walk they short-circuit. Most pairs miss on the literal
+# suffix, which is what the guards reject without walking.
+_MIDGLOB_PATTERNS = [f"bench.glob.**.g{i % 16}" for i in range(1000)]
+_MIDGLOB_TOPICS = [f"bench.glob.a.b.g{j % 16}" for j in range(_TOPIC_CYCLE)]
+
+
+@scenario("bus.match.midglob.guarded")
+def _midglob_guarded(quick: bool):
+    from repro.core.events import compile_pattern
+
+    compiled = [compile_pattern(p) for p in _MIDGLOB_PATTERNS]
+    rounds = 1 if quick else 10
+
+    def run():
+        for _ in range(rounds):
+            for topic in _MIDGLOB_TOPICS:
+                for matcher in compiled:
+                    matcher(topic)
+    return rounds * len(_MIDGLOB_TOPICS) * len(compiled), run
+
+
+@scenario("bus.match.midglob.reference")
+def _midglob_reference(quick: bool):
+    from repro.core.events import _nfa_match
+
+    segs = [p.split(".") for p in _MIDGLOB_PATTERNS]
+    parts = [t.split(".") for t in _MIDGLOB_TOPICS]
+    rounds = 1 if quick else 10
+
+    def run():
+        for _ in range(rounds):
+            for tops in parts:
+                for pat in segs:
+                    _nfa_match(pat, tops)
+    return rounds * len(parts) * len(segs), run
+
+
 # -- DES kernel -------------------------------------------------------------
 
 @scenario("sim.timeout_storm")

@@ -4,10 +4,12 @@
 :class:`~repro.runtime.shard.ShardedContext` whose shard hosts live in
 worker processes (:func:`~repro.runtime.shard_worker.worker_main`), so
 all shards advance *concurrently* between conservative epoch barriers.
-The coordinator — epoch grid, relay-tap model, routing, merged trace,
-digest, metrics fold, profiler — is the one in
+The coordinator — epoch grid, relayed-pattern set, routing, merged
+trace, digest, metrics fold, profiler — is the one in
 :mod:`repro.runtime.shard`; only the transport differs. The pipe
-transport ships each step as a message, keeps per-zone replicas of the
+transport ships each step as a message (newly relayed patterns ride the
+next advance; each worker's outbox batches come back keyed by source
+zone and go out to every other worker), keeps per-zone replicas of the
 trace rings (from per-epoch record batches the workers stream back) and
 of the metric registries (from the deltas on each sync), so the merged
 trace and its digest are byte-identical to the in-process run.
@@ -67,7 +69,7 @@ class _PipeTransport:
         self._zone_metrics: list[dict] = [{} for _ in range(n)]
         self._batches = 0
         self._events = [0] * len(specs)
-        self._taps: list[tuple[int, int, str]] = []
+        self._patterns: list[str] = []
         self.closed = False
         mp = multiprocessing.get_context(START_METHOD)
         self._workers: list[_Worker] = []
@@ -158,15 +160,16 @@ class _PipeTransport:
 
     # -- coordinator steps -------------------------------------------------
 
-    def install(self, directives: list[tuple[int, int, str]]) -> None:
+    def install(self, patterns: list[str]) -> None:
         # Shipped with the next advance: nothing publishes on a worker
         # between a flush and the next epoch.
-        self._taps.extend(directives)
+        self._patterns.extend(patterns)
 
     def advance(self, t_next: float) -> tuple[dict, list[int]]:
-        taps, self._taps = self._taps, []
-        self._send_all([("advance", t_next, taps)] * len(self._workers))
-        remote: dict[tuple[int, int], list] = {}
+        patterns, self._patterns = self._patterns, []
+        self._send_all([("advance", t_next, patterns)]
+                       * len(self._workers))
+        remote: dict[int, list] = {}
         advance_ns = []
         for worker in self._workers:
             _, out, ns, batches = self._recv(worker, "barrier")

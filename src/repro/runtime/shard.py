@@ -15,15 +15,15 @@ small transport with advance / flush / sync / finalize / close steps
 (plus ``install`` for relay-tap directives): the in-process transport
 here calls the hosts directly and reads zone rings and registries live;
 the pipe transport of :mod:`repro.runtime.parallel` runs each host in a
-worker process. Tap propagation, routing, the merged trace, its digest
-and the metrics fold all live on the coordinator, once.
+worker process. The relayed-pattern set, routing, the merged trace, its
+digest and the metrics fold all live on the coordinator, once.
 
 Determinism argument (the invariant everything here serves): the *zone*,
 not the shard, is the unit of determinism. A zone's seed subtree is
 derived from the root seed and the zone *name* (never the shard id), its
 trace records carry zone-local sequence numbers, and zones interact only
 through the epoch relay, whose buffering and delivery order is a pure
-function of (epoch, zone rank, per-pair sequence). Regrouping zones onto
+function of (epoch, source zone rank, send order). Regrouping zones onto
 a different shard count — or into worker processes — therefore cannot
 change any zone's record stream, and the merged trace — sorted by
 ``(time_s, zone rank, zone seq)`` — is byte-identical between a
@@ -31,15 +31,21 @@ single-shard, an N-shard and a multiprocess run of the same scenario
 and seed. ``tests/test_sharded.py`` and ``tests/test_parallel_shard.py``
 pin this with hypothesis properties over random partitions and seeds.
 
-Epoch-barrier protocol: the epoch length is bounded by the *lookahead*,
-the minimum cross-zone link latency. Any message published in epoch k
-(send time t) physically arrives no earlier than ``t + lookahead >=
-barrier(k)``, so shards can drain epoch k without seeing each other's
-traffic; at the barrier each buffered message is injected into its
-destination shard as a DES event at its true arrival time ``t +
-link_latency``. Injection iterates destination zones in rank order,
-source zones in rank order and messages in send order — the
-deterministic ``(epoch, zone_rank, seq)`` delivery order.
+Relay rule: every zone relays the union of all zones' subscription
+patterns to every other zone. Each zone has one relay tap and one
+outbox; the coordinator keeps the relayed-pattern set and, when a
+barrier reports new patterns, has every zone subscribe its tap to them.
+
+Epoch-barrier protocol: an epoch is exactly the *lookahead*, the minimum
+cross-zone link latency, on a grid anchored at time 0. Any message
+published in epoch k (send time t) physically arrives no earlier than
+``t + lookahead >= barrier(k)``, so shards can drain epoch k without
+seeing each other's traffic. At the barrier every host first takes all
+its zones' outboxes, then injects: each destination zone reads every
+other zone's batch in source rank order, messages in send order, as DES
+events at their true arrival time ``t + link_latency``. Publishes made
+while injecting (barrier records and their handlers) land in the fresh
+outboxes and cross at the next barrier, on every shard count alike.
 """
 
 from __future__ import annotations
@@ -123,9 +129,9 @@ class ZoneRuntime:
 # injection — do not fork copies.
 
 def make_relay_tap(src: ZoneRuntime, outbox: list, mark: list):
-    """Tap closure buffering *src*'s matching publishes for one
-    (src, dest) pair. ``mark`` holds the last relayed publish id so a
-    publish matching several tapped patterns is buffered once.
+    """Tap closure buffering *src*'s relayed publishes in its one
+    outbox. ``mark`` holds the last relayed publish id so a publish
+    matching several relayed patterns is buffered once.
 
     Alongside ``(send_s, topic, payload)`` the tap captures the open
     span context: bus delivery is synchronous, so the publisher's span
@@ -249,9 +255,10 @@ def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
                      latency: float, epoch: int, t_barrier: float,
                      record_barrier: bool) -> int:
     """Barrier injection for one destination zone: schedule every
-    buffered message (batches already in source-rank order, messages in
-    send order) as a DES event at its true arrival time, then publish
-    the relay/barrier bookkeeping records. Returns messages injected."""
+    buffered message (one batch per other source zone, in source-rank
+    order, messages in send order) as a DES event at its true arrival
+    time, then publish the relay/barrier bookkeeping records. Returns
+    messages injected."""
     sim = dest.ctx.sim
     count = 0
     spans = 0
@@ -285,8 +292,7 @@ class WorkerSpec:
 
     ``builder``/``finalizer`` must be module-level callables when the
     host runs in a worker process (picklable under the ``spawn`` start
-    method). ``zones`` lists *all* zone names in rank order so the host
-    can iterate sources in global rank order at flush time;
+    method). ``zones`` lists *all* zone names in rank order;
     ``local_ranks`` selects the contiguous block this host owns.
     """
 
@@ -294,68 +300,11 @@ class WorkerSpec:
     seed: int
     zones: tuple[str, ...]
     local_ranks: tuple[int, ...]
-    start_time: float
     trace_capacity: int
     link_latency_s: float | None
-    epoch_payload: float | None
-    lookahead_payload: float | None
     builder: Callable[[RuntimeContext, str, Any], Any] | None
     builder_args: Any
     finalizer: Callable[[Any, str, Any], Any] | None
-
-
-class _RelayModel:
-    """Coordinator-side tap propagation over subscription patterns.
-
-    ``organic[rank]`` holds the patterns scenario code subscribed on a
-    zone's bus (reported by the shard hosts); ``tap_patterns[rank]`` the
-    patterns of relay taps installed *on* that zone's bus. A refresh
-    pass walks destinations in rank order and, for every destination
-    pattern not yet tapped on a (src, dest) pair, emits a directive and
-    records the tap — which makes the pattern visible to *later*
-    destinations in the same pass (a tap is itself a subscription that
-    other zones relay from). What a pair buffers depends only on the
-    *set* of tapped patterns (matching is any-pattern with per-publish
-    dedup), so sets are all the model needs.
-    """
-
-    def __init__(self, n_zones: int):
-        self.organic: list[set[str]] = [set() for _ in range(n_zones)]
-        self.tap_patterns: list[set[str]] = [set() for _ in range(n_zones)]
-        self.tapped: set[tuple[int, int, str]] = set()
-        self._dirty = True
-        self._rerun = False
-
-    def report(self, rank: int, patterns: Sequence[str]) -> None:
-        self.organic[rank] |= set(patterns)
-        self._dirty = True
-
-    def refresh(self) -> list[tuple[int, int, str]]:
-        """One propagation pass; returns new (src, dest, pattern) tap
-        directives. Re-arms itself when a pass installed taps, since the
-        new tap subscriptions are patterns the next pass relays too."""
-        if not (self._dirty or self._rerun):
-            return []
-        self._dirty = False
-        directives: list[tuple[int, int, str]] = []
-        n = len(self.organic)
-        for dest in range(n):
-            # sorted() only fixes directive order (bus bookkeeping);
-            # relay content is membership-pure.
-            patterns = sorted(self.organic[dest]
-                              | self.tap_patterns[dest])
-            for src in range(n):
-                if src == dest:
-                    continue
-                for pattern in patterns:
-                    key = (src, dest, pattern)
-                    if key in self.tapped:
-                        continue
-                    self.tapped.add(key)
-                    self.tap_patterns[src].add(pattern)
-                    directives.append(key)
-        self._rerun = bool(directives)
-        return directives
 
 
 class _InProcessTransport:
@@ -377,12 +326,12 @@ class _InProcessTransport:
         self.rings = [zone.ctx.trace for zone in self.zone_runtimes]
         self.closed = False
 
-    def install(self, directives: list[tuple[int, int, str]]) -> None:
+    def install(self, patterns: list[str]) -> None:
         for host in self.hosts:
-            host.install_taps(directives)
+            host.install_taps(patterns)
 
     def advance(self, t_next: float) -> tuple[dict, list[int]]:
-        remote: dict[tuple[int, int], list] = {}
+        remote: dict[int, list] = {}
         for host in self.hosts:
             host.advance(t_next)
             remote.update(host.collect_remote())
@@ -425,9 +374,8 @@ class ShardedContext:
     ``zones`` fixes the zone names and their ranks (list order); zones
     are grouped onto ``n_shards`` shard hosts — one ``Simulator`` heap
     each — in contiguous rank blocks. ``link_latency_s`` is the minimum
-    cross-zone link latency — the lookahead that bounds the epoch
-    length; ``epoch_s`` may shorten (never stretch) the epoch below the
-    lookahead.
+    cross-zone link latency — the lookahead, which is also the epoch
+    length.
 
     Zones are built by scenario code through :meth:`zone` after
     construction, or by a module-level ``zone_builder(ctx, zone_name,
@@ -448,7 +396,6 @@ class ShardedContext:
 
     def __init__(self, seed: int = 0, zones: Sequence[str] = ("zone-00",),
                  n_shards: int = 1, *, link_latency_s: float | None = None,
-                 epoch_s: float | None = None, start_time: float = 0.0,
                  trace_capacity: int = 65536,
                  barrier_record_every: int = 1,
                  zone_builder: Callable | None = None,
@@ -464,29 +411,26 @@ class ShardedContext:
             raise ConfigurationError("shard count must be >= 1")
         if link_latency_s is not None and link_latency_s <= 0:
             raise ConfigurationError("cross-zone link latency must be > 0")
-        if epoch_s is not None and epoch_s <= 0:
-            raise ConfigurationError("epoch_s must be > 0")
         if barrier_record_every < 1:
             raise ConfigurationError("barrier_record_every must be >= 1")
         self.seed = int(seed)
         self.n_shards = min(int(n_shards), len(names))
         self.link_latency_s = link_latency_s
         #: Conservative lookahead: how far a shard may run ahead without
-        #: missing cross-zone traffic. Never smaller than the minimum
-        #: cross-zone link latency (it *is* that latency).
+        #: missing cross-zone traffic — the minimum cross-zone link
+        #: latency, and the epoch length.
         self.lookahead_s = link_latency_s if link_latency_s is not None \
             else _INF
-        self.epoch_s = min(epoch_s, self.lookahead_s) \
-            if epoch_s is not None else self.lookahead_s
-        self._start = float(start_time)
-        self._now = self._start
+        self._now = 0.0
         self._epoch = 0
         self._barrier_record_every = barrier_record_every
         self._names = names
         self._ranks = {name: rank for rank, name in enumerate(names)}
         n = len(names)
         self._shard_of = [rank * self.n_shards // n for rank in range(n)]
-        self._relays = _RelayModel(n)
+        #: Patterns every zone's relay tap is subscribed to: the union of
+        #: every zone's subscriptions reported so far.
+        self._relayed: set[str] = set()
         self._final: dict[str, Any] | None = None
 
         # Merged-trace memoization: --check twin comparisons call
@@ -512,17 +456,13 @@ class ShardedContext:
             "runtime.shard.relay.routed",
             "cross-shard messages routed through the coordinator")
 
-        epoch_payload = None if self.epoch_s == _INF else self.epoch_s
-        lookahead_payload = None if self.lookahead_s == _INF \
-            else self.lookahead_s
         specs = [WorkerSpec(
             worker_id=shard, seed=self.seed, zones=tuple(names),
             local_ranks=tuple(rank for rank in range(n)
                               if self._shard_of[rank] == shard),
-            start_time=self._start, trace_capacity=trace_capacity,
-            link_latency_s=link_latency_s, epoch_payload=epoch_payload,
-            lookahead_payload=lookahead_payload, builder=zone_builder,
-            builder_args=zone_args, finalizer=zone_finalizer)
+            trace_capacity=trace_capacity, link_latency_s=link_latency_s,
+            builder=zone_builder, builder_args=zone_args,
+            finalizer=zone_finalizer)
             for shard in range(self.n_shards)]
         self._transport = self._transport_type(specs)
 
@@ -594,33 +534,38 @@ class ShardedContext:
     # -- execution ---------------------------------------------------------
 
     def _refresh_taps(self, reports: dict[int, list[str]]) -> None:
-        """Feed subscription reports to the relay model and install the
-        taps it derives. Taps for subscriptions added during an epoch
-        take effect at the barrier — identically for every shard
-        count and transport."""
-        for rank, patterns in reports.items():
-            self._relays.report(rank, patterns)
-        directives = self._relays.refresh()
-        if self._relays.tapped and self.lookahead_s == _INF:
+        """Add newly reported subscription patterns to the relayed set
+        and subscribe every zone's relay tap to them. Patterns added
+        during an epoch take effect at the barrier — identically for
+        every shard count and transport. A single zone relays nothing.
+        """
+        if len(self._names) < 2:
+            return
+        new = sorted({pattern for patterns in reports.values()
+                      for pattern in patterns} - self._relayed)
+        if not new:
+            return
+        if self.lookahead_s == _INF:
             self.close()
             raise ConfigurationError(
                 "zones subscribe to each other's topics but no "
                 "cross-zone link latency is configured; pass "
                 "link_latency_s= so the epoch barrier has a lookahead")
-        if directives:
-            self._transport.install(directives)
+        self._relayed.update(new)
+        # Sorted: bus dispatch order is subscription order.
+        self._transport.install(new)
 
     def run(self, until: float) -> None:
         """Advance every shard to *until* through the epoch-barrier loop.
 
         ``until`` must be finite: an unbounded drain has no barrier
-        schedule. The epoch grid is anchored at the start time —
-        ``barrier(k) = start + (k+1) * epoch_s`` — so it is identical
-        for every shard count and for any sequence of ``run()`` calls
-        ending at the same horizon. Each epoch: advance every shard to
-        the barrier, route outboxes bound for another shard, flush
-        (inject) every zone's inbox, then refresh the relay taps from
-        the subscriptions reported after the flush.
+        schedule. The epoch grid is anchored at 0 —
+        ``barrier(k) = (k+1) * lookahead_s`` — so it is identical for
+        every shard count and for any sequence of ``run()`` calls ending
+        at the same horizon. Each epoch: advance every shard to the
+        barrier, route every zone's outbox batch to the other shards,
+        flush (inject) every zone's inbox, then refresh the relay taps
+        from the subscriptions reported after the flush.
         """
         kind = type(self).__name__
         transport = self._transport
@@ -634,17 +579,19 @@ class ShardedContext:
         self._refresh_taps(transport.sync())
         profiler = self.profiler
         while self._now < deadline:
-            if self.epoch_s == _INF:
+            if self.lookahead_s == _INF:
                 boundary = deadline
             else:
-                boundary = self._start + (self._epoch + 1) * self.epoch_s
+                boundary = (self._epoch + 1) * self.lookahead_s
             t_next = min(boundary, deadline)
             remote_out, advance_ns = transport.advance(t_next)
             remote_for: list[dict] = [{} for _ in range(self.n_shards)]
             routed = 0
-            for (src, dest), batch in remote_out.items():
-                remote_for[self._shard_of[dest]][(src, dest)] = batch
-                routed += len(batch)
+            for src, batch in remote_out.items():
+                for shard, remote_in in enumerate(remote_for):
+                    if shard != self._shard_of[src]:
+                        remote_in[src] = batch
+                        routed += len(batch)
             if routed:
                 self._relay_routed.inc(routed)
             reports, relay = transport.flush(

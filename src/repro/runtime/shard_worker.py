@@ -10,19 +10,20 @@ in-process transport) or through :func:`worker_main` in a worker
 process (the pipe transport of :mod:`repro.runtime.parallel`), which
 serves them as messages over a duplex pipe:
 
-``("advance", t_next, taps)``
-    install the coordinator's relay-tap directives, run the heap to the
-    epoch boundary, reply ``("barrier", remote_outboxes, advance_ns,
-    trace_batches)``. Outboxes destined for zones on *other* hosts are
-    shipped as value snapshots; locally-destined buffers stay in place
-    for the flush.
+``("advance", t_next, patterns)``
+    subscribe every local zone's relay tap to the newly relayed
+    patterns, run the heap to the epoch boundary, take every local
+    zone's outbox and reply ``("barrier", batches, advance_ns,
+    trace_batches)``. ``batches`` maps source rank to that zone's
+    outbox batch; it is empty when this host owns every zone.
 ``("flush", epoch, t_barrier, remote_in, record_barrier)``
-    barrier injection for the host's zones — source batches merged
-    from local buffers and coordinator-routed remote batches in
-    *global* rank order, messages in send order — then reply
+    barrier injection for the host's zones — each destination reads
+    every other zone's batch (local ones taken at the advance,
+    coordinator-routed ``remote_in`` ones by source rank) in *global*
+    rank order, messages in send order — then reply
     ``("flushed", injected, pattern_report)`` so subscriptions added
     during the epoch *or* by flush-time record handlers reach the
-    coordinator's relay model before the next epoch runs.
+    coordinator's relayed-pattern set before the next epoch runs.
 ``("sync",)`` / ``("finalize",)`` / ``("close",)``
     report subscription patterns and drain the remaining trace
     records, metric deltas and event count; run the zone finalizers
@@ -32,8 +33,9 @@ Determinism: hosts run the *same* tap/delivery/injection primitives
 whichever transport drives them (``make_relay_tap``,
 ``flush_zone_inbox`` — single implementation, see
 :mod:`repro.runtime.shard`), the zone seed subtree hangs off the zone
-name, and tap installation order only perturbs bus bookkeeping, never
-delivery order. In a worker process any exception is wrapped as
+name, and outboxes are taken before any injection, so what a barrier
+delivers never depends on which host flushes first. In a worker process
+any exception is wrapped as
 ``("error", traceback)`` so the coordinator raises instead of
 deadlocking on a silent barrier.
 """
@@ -64,36 +66,35 @@ class ShardWorkerHost:
         # runtime/ is the allowlisted home for direct Simulator
         # construction (continuum-lint).
         from repro.continuum.simulator import Simulator
-        self.sim = Simulator(spec.start_time)
+        self.sim = Simulator()
         self.zones: list[ZoneRuntime] = []
-        self.by_rank: dict[int, ZoneRuntime] = {}
-        self._local = set(spec.local_ranks)
+        # The epoch is the lookahead; both payload keys stay for the
+        # shard.partition.assign topic contract.
+        lookahead = spec.link_latency_s
         for rank in spec.local_ranks:
             name = spec.zones[rank]
             ctx = RuntimeContext(
                 seed=derive_seed(spec.seed, f"shard.zone.{name}"),
-                start_time=spec.start_time,
                 trace_capacity=spec.trace_capacity, sim=self.sim)
             zone = ZoneRuntime(name, rank, spec.worker_id, ctx)
             self.zones.append(zone)
-            self.by_rank[rank] = zone
             zone.ctx.publish(PARTITION_TOPIC, {
-                "zone": name, "rank": rank,
-                "epoch_s": spec.epoch_payload,
-                "lookahead_s": spec.lookahead_payload,
-                "time_s": spec.start_time})
+                "zone": name, "rank": rank, "epoch_s": lookahead,
+                "lookahead_s": lookahead, "time_s": 0.0})
         self.state: dict[int, Any] = {}
         if spec.builder is not None:
             for zone in self.zones:
                 self.state[zone.rank] = spec.builder(
                     zone.ctx, zone.name, spec.builder_args)
-        # Relay plumbing: one outbox/mark per (src, dest) pair, tap
-        # closures per install round. Tap subscriptions are tracked so
-        # organic pattern reports exclude them (the coordinator models
-        # tap-pattern propagation itself).
-        self._outbox: dict[tuple[int, int], list] = {}
-        self._marks: dict[tuple[int, int], list[int]] = {}
-        self._tap_subs: dict[int, set] = {z.rank: set() for z in self.zones}
+        # Relay plumbing: one outbox and one tap per local zone, the tap
+        # subscribed once per relayed pattern. make_relay_tap is looked
+        # up as a module global here, so wrapping it instruments taps.
+        self._outbox: dict[int, list] = {z.rank: [] for z in self.zones}
+        self._taps = {z.rank: make_relay_tap(z, self._outbox[z.rank], [-1])
+                      for z in self.zones}
+        #: Local batches taken at the last advance, by source rank.
+        self._taken: dict[int, list] = {}
+        self._owns_all = len(self.zones) == len(spec.zones)
         self._order_reported: dict[int, int] = \
             {z.rank: -1 for z in self.zones}
         # Metrics piggybacking: the last payload snapshot shipped per
@@ -106,89 +107,59 @@ class ShardWorkerHost:
     # -- coordinator steps -------------------------------------------------
 
     def pattern_report(self) -> dict[int, list[str]]:
-        """Organic (non-tap) subscription patterns per local zone, for
-        zones whose bus gained subscriptions since the last report."""
+        """Subscription patterns per local zone, for zones whose bus
+        gained subscriptions since the last report. Tap subscriptions
+        are reported too; their patterns are already relayed."""
         report: dict[int, list[str]] = {}
         for zone in self.zones:
             order = zone.ctx.bus._order
             if order == self._order_reported[zone.rank]:
                 continue
             self._order_reported[zone.rank] = order
-            taps = self._tap_subs[zone.rank]
-            patterns: list[str] = []
-            seen: set[str] = set()
-            for sub in zone.ctx.bus._subs:
-                if sub.active and sub not in taps \
-                        and sub.pattern not in seen:
-                    seen.add(sub.pattern)
-                    patterns.append(sub.pattern)
-            report[zone.rank] = patterns
+            report[zone.rank] = list(dict.fromkeys(
+                sub.pattern for sub in zone.ctx.bus._subs if sub.active))
         return report
 
-    def install_taps(self, directives: list[tuple[int, int, str]]) -> None:
-        """Subscribe the relay-tap directives whose source zone is local.
-        One tap closure per (src, dest) pair per call, shared by every
-        pattern that pair taps in this round."""
-        round_taps: dict[tuple[int, int], Any] = {}
-        for src_rank, dest_rank, pattern in directives:
-            src = self.by_rank.get(src_rank)
-            if src is None:
-                continue
-            pair = (src_rank, dest_rank)
-            if pair not in self._outbox:
-                self._outbox[pair] = []
-                self._marks[pair] = [-1]
-            tap = round_taps.get(pair)
-            if tap is None:
-                tap = make_relay_tap(src, self._outbox[pair],
-                                     self._marks[pair])
-                round_taps[pair] = tap
-            sub = src.ctx.bus.subscribe(pattern, tap)
-            self._tap_subs[src_rank].add(sub)
-            # Installing a tap bumps the bus order; that must not
-            # masquerade as an organic subscription next barrier.
-            self._order_reported[src_rank] = src.ctx.bus._order
+    def install_taps(self, patterns: list[str]) -> None:
+        """Subscribe every local zone's relay tap to *patterns*."""
+        for zone in self.zones:
+            tap = self._taps[zone.rank]
+            for pattern in patterns:
+                zone.ctx.bus.subscribe(pattern, tap)
 
     def advance(self, t_next: float) -> None:
         t0 = ShardProfiler.clock()
         self.sim.run(until=t_next)
         self.advance_ns = ShardProfiler.clock() - t0
 
-    def collect_remote(self) -> dict[tuple[int, int], list]:
-        """Snapshot-and-clear outboxes destined for other hosts. The
-        buffer object itself stays in place — tap closures hold it."""
-        remote: dict[tuple[int, int], list] = {}
-        for (src_rank, dest_rank), batch in self._outbox.items():
-            if dest_rank not in self._local and batch:
-                remote[(src_rank, dest_rank)] = list(batch)
-                batch.clear()
-        return remote
+    def collect_remote(self) -> dict[int, list]:
+        """Take every local outbox (the list objects stay in place —
+        tap closures hold them) and return the batches by source rank
+        for the coordinator to route to the other hosts; nothing when
+        this host owns every zone. Taking them here, before any host
+        flushes, keeps flush-time publishes out of this barrier."""
+        self._taken = {}
+        for rank, outbox in self._outbox.items():
+            if outbox:
+                self._taken[rank] = outbox[:]
+                outbox.clear()
+        return {} if self._owns_all else self._taken
 
     def flush(self, epoch: int, t_barrier: float,
-              remote_in: dict[tuple[int, int], list],
-              record_barrier: bool) -> int:
-        """Barrier injection for local destination zones: source batches
-        in global rank order (local buffers and coordinator-routed
-        remote snapshots interleaved by source rank). Returns the
-        messages injected."""
+              remote_in: dict[int, list], record_barrier: bool) -> int:
+        """Barrier injection for local destination zones: each reads
+        every other zone's batch — taken locally at the advance or
+        routed in ``remote_in`` — in global source rank order. Returns
+        the messages injected."""
         latency = self.spec.link_latency_s or 0.0
-        n = len(self.spec.zones)
+        sources = {**self._taken, **remote_in}
+        self._taken = {}
+        order = sorted(sources)
         injected = 0
         for dest in self.zones:
-            batches = []
-            for src_rank in range(n):
-                if src_rank == dest.rank:
-                    continue
-                if src_rank in self._local:
-                    batch = self._outbox.get((src_rank, dest.rank))
-                else:
-                    batch = remote_in.get((src_rank, dest.rank))
-                if batch:
-                    batches.append(batch)
+            batches = [sources[rank] for rank in order if rank != dest.rank]
             injected += flush_zone_inbox(dest, batches, latency, epoch,
                                          t_barrier, record_barrier)
-            for batch in batches:
-                batch.clear()
         return injected
 
     def finalize(self) -> dict[str, Any]:
@@ -249,9 +220,9 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             msg = conn.recv()
             cmd = msg[0]
             if cmd == "advance":
-                _, t_next, taps = msg
-                if taps:
-                    host.install_taps(taps)
+                _, t_next, patterns = msg
+                if patterns:
+                    host.install_taps(patterns)
                 host.advance(t_next)
                 conn.send(("barrier", host.collect_remote(),
                            host.advance_ns, host.drain_trace()))

@@ -210,8 +210,9 @@ class TestTraceRecorderDropCount:
 
 class TestMidGlobGuards:
     """The mid-``**`` NFA matcher gained literal prefix/suffix guards
-    (the midglob.1000 optimization). These pin the guards' semantics
-    and the speedup they exist for."""
+    (the midglob.1000 optimization). These pin the guards' semantics;
+    the >= 3x speedup they exist for is a paired gate in
+    ``python -m benchmarks.perf --check`` (``bus.match.midglob.*``)."""
 
     def test_suffix_guard_edge_cases(self):
         # topic == suffix (the ** matches zero segments)
@@ -231,13 +232,9 @@ class TestMidGlobGuards:
         assert not topic_matches("a.b.**.c", "ab.x.c")
         assert topic_matches("a.b.**.c", "a.b.x.y.c")
 
-    def test_guarded_midglob_dispatch_speedup(self):
-        """The guards must reject non-matching mid-glob patterns at
-        least 3x faster than the raw NFA walk — the midglob.1000
-        improvement asserted relatively, machine-independently, on the
+    def test_guarded_midglob_matches_reference(self):
+        """Guarded matchers agree with the raw NFA walk on the
         benchmark's own workload shape."""
-        from time import perf_counter
-
         from repro.core.events import _nfa_match, compile_pattern
 
         patterns = [f"bench.glob.**.g{i % 16}" for i in range(1000)]
@@ -245,29 +242,6 @@ class TestMidGlobGuards:
         segs = [p.split(".") for p in patterns]
         topics = [f"bench.glob.a.b.g{j % 16}" for j in range(32)]
         parts = [t.split(".") for t in topics]
-
-        def run_guarded():
-            for topic in topics:
-                for matcher in compiled:
-                    matcher(topic)
-
-        def run_reference():
-            for tops in parts:
-                for pat in segs:
-                    _nfa_match(pat, tops)
-
-        def best_of(fn, repeats=5):
-            best = float("inf")
-            for _ in range(repeats):
-                start = perf_counter()
-                fn()
-                best = min(best, perf_counter() - start)
-            return best
-
-        # semantics unchanged: guarded == reference on this workload
         for topic, tops in zip(topics, parts):
             for matcher, pat in zip(compiled, segs):
                 assert matcher(topic) == _nfa_match(pat, tops)
-
-        speedup = best_of(run_reference) / best_of(run_guarded)
-        assert speedup >= 3.0, f"midglob guard speedup only {speedup:.2f}x"

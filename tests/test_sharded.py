@@ -32,14 +32,15 @@ from repro.runtime import (
 
 
 def _fleet_run(seed: int, n_zones: int, n_shards: int,
-               devices: int = 6, horizon: float = 30.0):
-    """A small cross-zone scenario: per-zone fleets, zone-0 aggregation,
-    one forced outage. Returns (digest, scorecards, aggregator stream)."""
+               devices: int = 6, horizon: float = 30.0, agg_rank: int = 0):
+    """A small cross-zone scenario: per-zone fleets, aggregation on the
+    zone of rank *agg_rank*, one forced outage. Returns (digest,
+    scorecards, aggregator stream)."""
     zones = [f"z{i}" for i in range(n_zones)]
     sharded = ShardedContext(seed=seed, zones=zones, n_shards=n_shards,
                              link_latency_s=0.5)
     stream = []
-    agg_ctx = sharded.zone(zones[0])
+    agg_ctx = sharded.zone(zones[agg_rank])
     agg_ctx.subscribe(
         "shard.fleet.telemetry.*",
         lambda t, p: stream.append((agg_ctx.now, p["zone"], p["up"])))
@@ -54,18 +55,29 @@ def _fleet_run(seed: int, n_zones: int, n_shards: int,
     return sharded.digest(), [f.scorecard() for f in fleets], stream
 
 
+def _subscribe_barrier_on_c(ctx, name, args):
+    """Zone builder: zone ``c`` subscribes to the barrier record, a
+    topic published while the barrier injects."""
+    if name == "c":
+        ctx.subscribe("shard.epoch.barrier", lambda t, p: None)
+
+
 class TestShardCountInvariance:
     @settings(max_examples=15)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            n_zones=st.integers(min_value=2, max_value=5),
            n_shards=st.integers(min_value=2, max_value=8),
-           devices=st.integers(min_value=1, max_value=12))
+           devices=st.integers(min_value=1, max_value=12),
+           agg=st.integers(min_value=0, max_value=4))
     def test_sharded_equals_single_shard_twin(self, seed, n_zones,
-                                              n_shards, devices):
-        """Random partitions/seeds: identical digests, scorecards and
-        aggregator-observed delivery streams at any shard count."""
-        sharded = _fleet_run(seed, n_zones, n_shards, devices)
-        single = _fleet_run(seed, n_zones, 1, devices)
+                                              n_shards, devices, agg):
+        """Random partitions/seeds/aggregator zones: identical digests,
+        scorecards and aggregator-observed delivery streams at any
+        shard count."""
+        agg_rank = agg % n_zones
+        sharded = _fleet_run(seed, n_zones, n_shards, devices,
+                             agg_rank=agg_rank)
+        single = _fleet_run(seed, n_zones, 1, devices, agg_rank=agg_rank)
         assert sharded[0] == single[0]
         assert sharded[1] == single[1]
         assert sharded[2] == single[2]
@@ -97,32 +109,19 @@ class TestShardCountInvariance:
 
 
 class TestLookaheadBound:
-    """Regression: epoch lookahead >= minimum cross-zone link latency."""
-
-    @staticmethod
-    def _partition():
-        infra = build_reference_infrastructure(ctx=RuntimeContext(seed=7))
-        return infra.partition()
+    """Regression: epoch lookahead >= minimum cross-zone link latency,
+    and the epoch is exactly the lookahead."""
 
     def test_for_partition_lookahead_covers_min_cross_latency(self):
-        part = self._partition()
+        infra = build_reference_infrastructure(ctx=RuntimeContext(seed=7))
+        part = infra.partition()
         assert part.min_cross_latency_s < float("inf")
         sharded = ShardedContext.for_partition(part, seed=7, n_shards=2)
         assert sharded.lookahead_s >= part.min_cross_latency_s
-        assert sharded.epoch_s <= sharded.lookahead_s
-
-    def test_epoch_override_never_stretches_past_lookahead(self):
-        part = self._partition()
-        sharded = ShardedContext.for_partition(
-            part, seed=7, epoch_s=part.min_cross_latency_s * 100.0)
-        assert sharded.lookahead_s >= part.min_cross_latency_s
-        assert sharded.epoch_s <= sharded.lookahead_s
-
-    def test_explicit_epoch_may_shorten_below_lookahead(self):
-        sharded = ShardedContext(zones=("a", "b"), link_latency_s=2.0,
-                                 epoch_s=0.5)
-        assert sharded.epoch_s == 0.5
-        assert sharded.lookahead_s == 2.0
+        for name in sharded.zones:
+            assign = [rec.payload for rec in sharded.zone(name).trace
+                      if rec.topic == "shard.partition.assign"]
+            assert assign[0]["epoch_s"] == sharded.lookahead_s
 
 
 class TestZonePartition:
@@ -256,6 +255,62 @@ class TestEpochRelay:
         with pytest.raises(ConfigurationError):
             sharded.run(until=1.0)
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_every_zone_relays_every_subscribed_pattern(self, n_shards):
+        """Only rank 2 of 3 subscribes, yet from the first epoch on every
+        zone holds a relayed copy of every other zone's matching
+        publish: each zone relays the union of all zones' subscription
+        patterns to every other zone."""
+        zones = ("a", "b", "c")
+        sharded = ShardedContext(seed=0, zones=zones, n_shards=n_shards,
+                                 link_latency_s=1.0)
+        for name in zones:
+            ctx = sharded.zone(name)
+
+            def ticker(ctx=ctx, name=name):
+                while True:
+                    yield ctx.sim.timeout(0.4)
+                    ctx.publish("app.tick", {"zone": name, "t": ctx.now})
+
+            ctx.sim.process(ticker())
+        sharded.zone("c").subscribe("app.tick", lambda t, p: None)
+        sharded.run(until=4.0)
+        ticks = {name: [rec.payload for rec in sharded.zone(name).trace
+                        if rec.topic == "app.tick"] for name in zones}
+        sent = {name: [p["t"] for p in ticks[name] if p["zone"] == name]
+                for name in zones}
+        for dest in zones:
+            for src in zones:
+                if src == dest:
+                    continue
+                relayed = [p["t"] for p in ticks[dest] if p["zone"] == src]
+                # Sends at 0.4 .. 2.8 s arrive by the 4 s horizon.
+                assert relayed == sent[src][:7]
+
+    def test_flush_time_publishes_relay_alike_at_any_shard_count(self):
+        """Zone c subscribes to the barrier record, which every zone
+        publishes while the barrier injects. Outboxes are taken before
+        any injection, so those publishes cross at the next barrier on
+        every shard count and backend: one digest for all six runs."""
+        zones = ("a", "b", "c")
+        kwargs = {"seed": 0, "zones": zones, "link_latency_s": 1.0,
+                  "zone_builder": _subscribe_barrier_on_c}
+        digests = set()
+        for n_shards in (1, 2, 3):
+            sharded = ShardedContext(n_shards=n_shards, **kwargs)
+            sharded.run(until=6.0)
+            digests.add(sharded.digest())
+        relayed = [rec.payload for rec in sharded.zone("a").trace
+                   if rec.topic == "shard.epoch.barrier"
+                   and rec.payload["zone"] == "c"]
+        assert relayed  # c's barrier records did cross to zone a
+        for workers in (1, 2, 3):
+            with ParallelShardedContext(workers=workers,
+                                        **kwargs) as parallel:
+                parallel.run(until=6.0)
+                digests.add(parallel.digest())
+        assert len(digests) == 1
+
     def test_subscription_added_mid_run_takes_effect_at_barrier(self):
         sharded = ShardedContext(seed=0, zones=("a", "b"), n_shards=2,
                                  link_latency_s=1.0)
@@ -284,7 +339,6 @@ class TestShardedContextShape:
         count below one is rejected, never clamped."""
         for kwargs in ({"zones": ()}, {"zones": ("a", "a")},
                        {"zones": ("a",), "link_latency_s": 0.0},
-                       {"zones": ("a",), "epoch_s": -1.0},
                        {"zones": ("a",), "barrier_record_every": 0}):
             with pytest.raises(ConfigurationError):
                 backend(**kwargs)

@@ -1,12 +1,15 @@
 """mtime+size-keyed AST parse cache shared by every analysis engine.
 
-Parsing is the dominant cost of an analysis run (continuum-lint and the
-flow analyses both walk every module under ``src/repro``, and CI plus
-pre-commit run them back to back). The cache keys each file on
-``(path, mtime_ns, size)`` so an unchanged file is parsed exactly once
-per process — and, when a cache file is configured, once per *machine*:
-the CLI persists the cache with :mod:`pickle` (AST nodes pickle
-cleanly) and validates every entry against the file's current stat on
+Parsing and indexing are the dominant cost of an analysis run
+(continuum-lint and the flow analyses both read every module under
+``src/repro``, and CI plus pre-commit run them back to back). Each
+parse also builds the module's :class:`~repro.analysis.index.ModuleIndex`
+in one traversal, so lint and flow share both the tree and the index.
+The cache keys each file on ``(path, mtime_ns, size)`` so an unchanged
+file is parsed and indexed exactly once per process — and, when a cache
+file is configured, once per *machine*: the CLI persists the cache with
+:mod:`pickle` (AST nodes and the index that points into them pickle
+together) and validates every entry against the file's current stat on
 reuse, so a stale entry can never survive an edit.
 
 The cache is an optimization only: a missing, unreadable or corrupt
@@ -19,20 +22,26 @@ import ast
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
-#: Bump when ParsedFile's shape changes; mismatched caches are dropped.
-CACHE_VERSION = 1
+from repro.analysis.index import ModuleIndex, build_index
+
+#: Bump when ParsedFile or the ModuleIndex changes shape; mismatched
+#: caches are dropped. 2: ParsedFile carries the ModuleIndex.
+CACHE_VERSION = 2
 
 
 @dataclass
 class ParsedFile:
-    """One parse result. ``tree`` is None when the file failed to parse
-    (``error`` then carries the SyntaxError message and line)."""
+    """One parse result. ``tree`` and ``index`` are None when the file
+    failed to parse (``error`` then carries the SyntaxError message and
+    line)."""
 
     source: str
     lines: list[str]
     tree: ast.Module | None
     error: tuple[str, int] | None = None  # (message, lineno)
+    index: ModuleIndex | None = None
 
 
 def _stat_key(path: Path) -> tuple[int, int] | None:
@@ -111,4 +120,23 @@ def parse_source(source: str) -> ParsedFile:
         return ParsedFile(source=source, lines=lines, tree=None,
                           error=(exc.msg or "invalid syntax",
                                  exc.lineno or 1))
-    return ParsedFile(source=source, lines=lines, tree=tree)
+    return ParsedFile(source=source, lines=lines, tree=tree,
+                      index=build_index(tree, lines))
+
+
+def python_files(root: Path, paths: Iterable[str | Path]
+                 ) -> Iterator[tuple[Path, str]]:
+    """``(file, path relative to root)`` for every ``*.py`` file named by
+    *paths*; directories are searched recursively in sorted order."""
+    for raw in paths:
+        target = root / raw  # an absolute *raw* replaces *root*
+        if target.is_dir():
+            files = sorted(target.rglob("*.py"))
+        else:
+            files = [target] if target.suffix == ".py" else []
+        for file_path in files:
+            try:
+                rel = str(file_path.relative_to(root))
+            except ValueError:
+                rel = str(file_path)
+            yield file_path, rel

@@ -58,24 +58,16 @@ def run_flow(config: AnalysisConfig,
     lint engine (both engines report on the same source lines) and the
     ``disable`` list in ``[tool.repro-analysis]``.
     """
-    from repro.analysis.lint.engine import _parse_pragmas, _suppressed
-
     if project is None:
         project = load_project(config, cache)
     findings = analyze_topic_flow(project) + analyze_des_contracts(project)
     findings = [f for f in findings if config.rule_enabled(f.rule)
                 and (only_rules is None or f.rule in only_rules)]
-    lines_by_path = {info.rel_path: info.lines
-                     for info in project.modules.values()}
-    kept: list[Finding] = []
-    for finding in findings:
-        lines = lines_by_path.get(finding.path)
-        if lines is not None:
-            pragmas = _parse_pragmas(lines)
-            if _suppressed(finding, *pragmas):
-                continue
-        kept.append(finding)
-    return assign_occurrences(kept)
+    pragmas = {info.rel_path: info.index.pragmas
+               for info in project.modules.values()}
+    return assign_occurrences([
+        f for f in findings
+        if f.path not in pragmas or not pragmas[f.path].suppresses(f)])
 
 
 __all__ = [

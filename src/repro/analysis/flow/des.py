@@ -23,8 +23,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.flow.symbols import (FunctionInfo, ModuleInfo, Project,
-                                         function_body_nodes)
+from repro.analysis.flow.symbols import FunctionInfo, ModuleInfo, Project
 
 #: Terminal receiver names that make `x.process(...)` a simulator call.
 _SIM_RECEIVERS = frozenset({"sim", "_sim", "simulator"})
@@ -72,7 +71,7 @@ def _may_return_generator(project: Project, fn: FunctionInfo,
     module = project.modules.get(fn.module)
     if module is None:
         return True
-    for node in function_body_nodes(fn.node):
+    for node in fn.scope.nodes:
         if not isinstance(node, ast.Return) or node.value is None:
             continue
         value = node.value
@@ -116,38 +115,25 @@ def _sim_process_arg(call: ast.Call) -> ast.expr | None:
     return None
 
 
-def _direct_nested_defs(node: ast.FunctionDef):
-    """Defs nested one level inside *node*'s own scope."""
-    stack: list[ast.AST] = list(node.body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield current
-            continue
-        if isinstance(current, (ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-
-
 def _function_units(project: Project):
-    """(qualname, class_name, def-node, module) for every function —
+    """(qualname, class_name, scope, module) for every function —
     including defs nested inside other functions (process bodies and
     bus handlers are frequently closures)."""
     for fn in project.all_functions():
         module = project.modules[fn.module]
-        worklist = [(fn.qualname, fn.node)]
+        worklist = [fn.scope]
         while worklist:
-            qualname, node = worklist.pop()
-            yield qualname, fn.class_name, node, module
-            for nested in _direct_nested_defs(node):
-                worklist.append((f"{qualname}.{nested.name}", nested))
+            scope = worklist.pop()
+            yield f"{fn.module}:{scope.qualname}", fn.class_name, scope, \
+                module
+            worklist.extend(scope.defs)
 
 
 def analyze_des_contracts(project: Project) -> list[Finding]:
     """All DES-contract findings for *project*."""
     findings: list[Finding] = []
-    for qualname, class_name, fn_node, module in _function_units(project):
-        for node in function_body_nodes(fn_node):
+    for qualname, class_name, scope, module in _function_units(project):
+        for node in scope.nodes:
             # Expression statement discarding a fresh generator.
             if isinstance(node, ast.Expr):
                 target = _resolved_generator_call(

@@ -1,10 +1,11 @@
 """Project-wide symbol table and call graph for ``src/repro``.
 
 The whole-program pass the flow analyses run on: every module is parsed
-(through the shared mtime+size parse cache), its import aliases are
-collected, and every function/method becomes a :class:`FunctionInfo`
-with its enclosing class, generator-ness and abstractness. Call sites
-are then resolved best-effort — local names, project imports,
+and indexed (through the shared mtime+size parse cache, see
+:mod:`repro.analysis.index`), and every function/method becomes a
+:class:`FunctionInfo` with its enclosing class, its scope in the index
+(own nodes, calls, generator-ness) and its abstractness. Call sites are
+then resolved best-effort — local names, project imports,
 ``self.method`` through the class and its project-resolvable bases, and
 (as a last resort) unique-by-name attribute lookups — into a call graph
 the DES-contract rules walk.
@@ -20,31 +21,8 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.cache import ParseCache
-
-
-def collect_import_maps(tree: ast.Module) -> tuple[dict[str, str],
-                                                   dict[str, str]]:
-    """(alias -> module, local name -> dotted origin) for *tree*.
-
-    The same resolution continuum-lint uses: ``import numpy as np``
-    maps ``np -> numpy``; ``from random import randint as ri`` maps
-    ``ri -> random.randint``. Relative imports are resolved by the
-    caller (they need the importing module's package).
-    """
-    aliases: dict[str, str] = {}
-    from_imports: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or
-                        alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module \
-                and node.level == 0:
-            for alias in node.names:
-                from_imports[alias.asname or alias.name] = \
-                    f"{node.module}.{alias.name}"
-    return aliases, from_imports
+from repro.analysis.cache import ParseCache, ParsedFile, python_files
+from repro.analysis.index import ModuleIndex, Scope
 
 
 def _is_abstract(node: ast.FunctionDef) -> bool:
@@ -62,20 +40,6 @@ def _is_abstract(node: ast.FunctionDef) -> bool:
         and stmt.value.value is Ellipsis) for stmt in body)
 
 
-def _is_generator(node: ast.FunctionDef) -> bool:
-    """Contains yield/yield-from in its own scope (nested defs pruned)."""
-    stack: list[ast.AST] = list(node.body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.Lambda)):
-            continue
-        if isinstance(current, (ast.Yield, ast.YieldFrom)):
-            return True
-        stack.extend(ast.iter_child_nodes(current))
-    return False
-
-
 @dataclass
 class FunctionInfo:
     """One function or method in the project."""
@@ -83,10 +47,13 @@ class FunctionInfo:
     module: str  # dotted module ("repro.chaos.policies")
     name: str  # bare name
     qualname: str  # "repro.chaos.policies:RetryPolicy.call"
-    node: ast.FunctionDef
+    scope: Scope
     class_name: str | None = None
-    is_generator: bool = False
     is_abstract: bool = False
+
+    @property
+    def is_generator(self) -> bool:
+        return self.scope.is_generator
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FunctionInfo({self.qualname})"
@@ -105,14 +72,12 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module with its import maps."""
+    """One parsed module with its index."""
 
     name: str  # dotted module name
     rel_path: str
-    tree: ast.Module
     lines: list[str]
-    import_aliases: dict[str, str] = field(default_factory=dict)
-    from_imports: dict[str, str] = field(default_factory=dict)
+    index: ModuleIndex
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
@@ -149,34 +114,18 @@ class Project:
         """Parse every ``*.py`` under *paths* (relative to *root*)."""
         cache = cache if cache is not None else ParseCache()
         project = cls()
-        files: list[Path] = []
-        for raw in paths:
-            target = Path(raw)
-            target = target if target.is_absolute() else root / target
-            if target.is_dir():
-                files.extend(sorted(target.rglob("*.py")))
-            elif target.suffix == ".py":
-                files.append(target)
-        for file_path in files:
-            try:
-                rel = str(file_path.relative_to(root))
-            except ValueError:
-                rel = str(file_path)
+        for file_path, rel in python_files(root, paths):
             parsed = cache.parse(file_path)
-            if parsed.tree is None:
-                continue  # syntax errors are continuum-lint's findings
-            project.add_module(rel, parsed.tree, parsed.lines)
+            if parsed.index is not None:  # syntax errors are lint's
+                project.add_module(rel, parsed)
         project.build_indexes()
         return project
 
-    def add_module(self, rel_path: str, tree: ast.Module,
-                   lines: list[str]) -> ModuleInfo:
+    def add_module(self, rel_path: str, parsed: ParsedFile) -> ModuleInfo:
         name = _module_name(rel_path.replace("\\", "/"))
-        aliases, from_imports = collect_import_maps(tree)
-        info = ModuleInfo(name=name, rel_path=rel_path, tree=tree,
-                          lines=lines, import_aliases=aliases,
-                          from_imports=from_imports)
-        for node in tree.body:
+        info = ModuleInfo(name=name, rel_path=rel_path, lines=parsed.lines,
+                          index=parsed.index)
+        for node in parsed.tree.body:
             self._collect_scope(info, node, class_name=None)
         self.modules[name] = info
         return info
@@ -184,19 +133,17 @@ class Project:
     def _collect_scope(self, info: ModuleInfo, node: ast.AST,
                        class_name: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qual = f"{info.name}:{class_name}.{node.name}" \
-                if class_name else f"{info.name}:{node.name}"
+            scope = info.index.scopes[node]
             fn = FunctionInfo(
-                module=info.name, name=node.name, qualname=qual,
-                node=node, class_name=class_name,
-                is_generator=_is_generator(node),
-                is_abstract=_is_abstract(node))
+                module=info.name, name=node.name,
+                qualname=f"{info.name}:{scope.qualname}", scope=scope,
+                class_name=class_name, is_abstract=_is_abstract(node))
             if class_name:
                 info.classes[class_name].methods[node.name] = fn
             else:
                 info.functions[node.name] = fn
             # Nested defs are resolvable only within their enclosing
-            # function; the per-function walks handle them locally.
+            # function, through its scope's ``defs``.
         elif isinstance(node, ast.ClassDef):
             bases = []
             for base in node.bases:
@@ -242,7 +189,7 @@ class Project:
                 return info.functions[attr]
             # Package re-export: follow `from x import name` in
             # the package __init__.
-            origin = info.from_imports.get(attr)
+            origin = info.index.from_imports.get(attr)
             if origin is not None and origin != dotted:
                 return self.resolve_dotted(origin)
         return None
@@ -252,7 +199,7 @@ class Project:
         """*name* as a class visible from *module* (local or imported)."""
         if name in module.classes:
             return module.classes[name]
-        origin = module.from_imports.get(name)
+        origin = module.index.from_imports.get(name)
         if origin is not None:
             owner, _, cls_name = origin.rpartition(".")
             seen = set()
@@ -264,7 +211,7 @@ class Project:
                 if cls_name in info.classes:
                     return info.classes[cls_name]
                 # Re-export chain through a package __init__.
-                next_origin = info.from_imports.get(cls_name)
+                next_origin = info.index.from_imports.get(cls_name)
                 if next_origin is None:
                     break
                 owner, _, cls_name = next_origin.rpartition(".")
@@ -324,7 +271,7 @@ class Project:
             # Local module function, or a project import.
             if func.id in module.functions:
                 return module.functions[func.id]
-            origin = module.from_imports.get(func.id)
+            origin = module.index.from_imports.get(func.id)
             if origin is not None:
                 return self.resolve_dotted(origin)
             return None
@@ -348,9 +295,9 @@ class Project:
         if isinstance(current, ast.Name):
             head = current.id
             parts.reverse()
-            base = module.import_aliases.get(head)
-            if base is None and head in module.from_imports:
-                base = module.from_imports[head]
+            base = module.index.aliases.get(head)
+            if base is None:
+                base = module.index.from_imports.get(head)
             if base is not None:
                 return self.resolve_dotted(".".join([base] + parts))
         # Fallback: a uniquely named method whose concrete definitions
@@ -367,12 +314,10 @@ class Project:
         for info in self.modules.values():
             for fn in self._all_functions(info):
                 callees: set[str] = set()
-                for node in function_body_nodes(fn.node):
-                    if isinstance(node, ast.Call):
-                        target = self.resolve_call(
-                            node, info, fn.class_name)
-                        if target is not None:
-                            callees.add(target.qualname)
+                for call in fn.scope.calls:
+                    target = self.resolve_call(call, info, fn.class_name)
+                    if target is not None:
+                        callees.add(target.qualname)
                 if callees:
                     self.call_graph[fn.qualname] = sorted(callees)
 
@@ -385,15 +330,3 @@ class Project:
         """Every module-level function and method, deterministic order."""
         for name in sorted(self.modules):
             yield from self._all_functions(self.modules[name])
-
-
-def function_body_nodes(func: ast.FunctionDef):
-    """Walk a function's own scope, pruning nested defs and lambdas."""
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))

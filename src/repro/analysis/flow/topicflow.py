@@ -1,10 +1,11 @@
 """Whole-program topic-flow extraction and contract checking.
 
-Walks every function (including nested handlers) in the project for
-``*.publish(...)`` / ``*.subscribe(...)`` calls on a bus-like receiver,
-resolves the topic argument to a static :class:`TopicPattern` (literal
-strings exactly, f-strings with placeholders widened to ``*``), then
-checks the whole program against the registry in
+Reads every scope's calls from the module index (functions, nested
+handlers, and the lambdas inside them) for ``*.publish(...)`` /
+``*.subscribe(...)`` calls on a bus-like receiver, resolves the topic
+argument to a static :class:`TopicPattern` (literal strings exactly,
+f-strings with placeholders widened to ``*``), then checks the whole
+program against the registry in
 :mod:`repro.analysis.flow.topics`:
 
 - ``flow-topic-name`` — malformed topic segments, or wildcard
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.flow.patterns import (TopicPattern, pattern_from_ast,
                                           segment_violations)
-from repro.analysis.flow.symbols import (FunctionInfo, ModuleInfo, Project,
-                                         function_body_nodes)
+from repro.analysis.flow.symbols import FunctionInfo, ModuleInfo, Project
 from repro.analysis.flow.topics import (TOPIC_CONTRACTS, TopicContract,
                                         contracts_for)
+from repro.analysis.index import Scope
 
 #: Terminal receiver names that make `x.publish(...)` a bus call.
 _BUS_RECEIVERS = frozenset({"bus", "_bus", "ctx", "_ctx", "context"})
@@ -92,138 +93,92 @@ def _call_arg(call: ast.Call, index: int, *names: str) -> ast.expr | None:
     return None
 
 
-def _nested_function(owner: ast.FunctionDef, name: str,
-                     module: str, qualname: str) -> FunctionInfo | None:
-    """A def nested directly inside *owner*, as an ad-hoc FunctionInfo."""
-    from repro.analysis.flow.symbols import _is_generator
-    for stmt in ast.walk(owner):
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-            return FunctionInfo(
-                module=module, name=name,
-                qualname=f"{qualname}.{name}", node=stmt,
-                is_generator=_is_generator(stmt))
-    return None
-
-
-class _SiteExtractor:
-    """Recursive walk collecting publish/subscribe sites per module."""
-
-    def __init__(self, project: Project):
-        self.project = project
-        self.publishes: list[PublishSite] = []
-        self.subscribes: list[SubscribeSite] = []
-
-    def extract(self) -> None:
-        for name in sorted(self.project.modules):
-            info = self.project.modules[name]
-            self._visit_body(info.tree.body, info, class_name=None,
-                             func=None, qualname=f"{info.name}:<module>")
-
-    # -- traversal ----------------------------------------------------------
-
-    def _visit_body(self, body, info: ModuleInfo, class_name: str | None,
-                    func: ast.FunctionDef | None, qualname: str) -> None:
-        for stmt in body:
-            self._visit(stmt, info, class_name, func, qualname)
-
-    def _visit(self, node: ast.AST, info: ModuleInfo,
-               class_name: str | None, func: ast.FunctionDef | None,
-               qualname: str) -> None:
-        if isinstance(node, ast.ClassDef):
-            self._visit_body(node.body, info, node.name, None,
-                             f"{info.name}:{node.name}")
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if func is None:
-                base = f"{info.name}:{class_name}.{node.name}" \
-                    if class_name else f"{info.name}:{node.name}"
-            else:
-                base = f"{qualname}.{node.name}"
-            self._visit_body(node.body, info, class_name, node, base)
-            return
-        if isinstance(node, ast.Call):
-            self._maybe_site(node, info, class_name, func, qualname)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, info, class_name, func, qualname)
-
-    # -- site recognition ---------------------------------------------------
-
-    def _maybe_site(self, call: ast.Call, info: ModuleInfo,
-                    class_name: str | None,
-                    func: ast.FunctionDef | None, qualname: str) -> None:
-        target = call.func
-        if not isinstance(target, ast.Attribute) \
-                or target.attr not in ("publish", "subscribe") \
-                or _receiver_terminal(target) not in _BUS_RECEIVERS:
-            return
-        topic_arg = _call_arg(call, 0, "topic", "pattern")
-        if topic_arg is None:
-            return
-        # Forwarding wrapper: the topic is one of the enclosing
-        # function's own parameters — the real site is the caller.
-        if isinstance(topic_arg, ast.Name) and func is not None:
-            params = {a.arg for a in (func.args.posonlyargs
-                                      + func.args.args
-                                      + func.args.kwonlyargs)}
-            if topic_arg.id in params:
-                return
-        pattern = pattern_from_ast(topic_arg)
-        if pattern is None:
-            return  # dynamic beyond static resolution; no finding
-        lineno = getattr(call, "lineno", 1)
-        context = info.lines[lineno - 1].strip() \
-            if 0 < lineno <= len(info.lines) else ""
-        if target.attr == "publish":
-            self.publishes.append(PublishSite(
-                module=info.name, qualname=qualname,
-                rel_path=info.rel_path, lineno=lineno, pattern=pattern,
-                payload=_call_arg(call, 1, "payload"), context=context))
-        else:
-            handler = self._resolve_handler(
-                _call_arg(call, 1, "handler"), info, class_name, func,
-                qualname)
-            self.subscribes.append(SubscribeSite(
-                module=info.name, qualname=qualname,
-                rel_path=info.rel_path, lineno=lineno, pattern=pattern,
-                handler=handler, context=context))
-
-    def _resolve_handler(self, node: ast.expr | None, info: ModuleInfo,
-                         class_name: str | None,
-                         func: ast.FunctionDef | None,
-                         qualname: str) -> FunctionInfo | None:
-        if node is None:
-            return None
-        if isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id in ("self", "cls") \
-                and class_name is not None:
-            cls_info = info.classes.get(class_name)
-            if cls_info is not None:
-                return self.project._method_in_mro(cls_info, node.attr)
-            return None
-        if isinstance(node, ast.Name):
-            if func is not None:
-                nested = _nested_function(func, node.id, info.name,
-                                          qualname)
-                if nested is not None:
-                    return nested
-            if node.id in info.functions:
-                return info.functions[node.id]
-            origin = info.from_imports.get(node.id)
-            if origin is not None:
-                return self.project.resolve_dotted(origin)
+def _site(call: ast.Call, info: ModuleInfo, scope: Scope,
+          project: Project) -> PublishSite | SubscribeSite | None:
+    """*call* as a publish/subscribe site of *scope*, if it is one."""
+    target = call.func
+    if not isinstance(target, ast.Attribute) \
+            or target.attr not in ("publish", "subscribe") \
+            or _receiver_terminal(target) not in _BUS_RECEIVERS:
         return None
+    topic_arg = _call_arg(call, 0, "topic", "pattern")
+    if topic_arg is None:
+        return None
+    func = scope.node if isinstance(
+        scope.node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+    # Forwarding wrapper: the topic is one of the enclosing function's
+    # own parameters — the real site is the caller.
+    if isinstance(topic_arg, ast.Name) and func is not None:
+        params = {a.arg for a in (func.args.posonlyargs + func.args.args
+                                  + func.args.kwonlyargs)}
+        if topic_arg.id in params:
+            return None
+    pattern = pattern_from_ast(topic_arg)
+    if pattern is None:
+        return None  # dynamic beyond static resolution; no finding
+    lineno = getattr(call, "lineno", 1)
+    context = info.lines[lineno - 1].strip() \
+        if 0 < lineno <= len(info.lines) else ""
+    qualname = f"{info.name}:{scope.qualname}"
+    if target.attr == "publish":
+        return PublishSite(
+            module=info.name, qualname=qualname, rel_path=info.rel_path,
+            lineno=lineno, pattern=pattern,
+            payload=_call_arg(call, 1, "payload"), context=context)
+    handler = _resolve_handler(_call_arg(call, 1, "handler"), info, scope,
+                               func is not None, project)
+    return SubscribeSite(
+        module=info.name, qualname=qualname, rel_path=info.rel_path,
+        lineno=lineno, pattern=pattern, handler=handler, context=context)
+
+
+def _resolve_handler(node: ast.expr | None, info: ModuleInfo, scope: Scope,
+                     in_function: bool,
+                     project: Project) -> FunctionInfo | None:
+    if node is None:
+        return None
+    if isinstance(node, ast.Attribute) \
+            and isinstance(node.value, ast.Name) \
+            and node.value.id in ("self", "cls") \
+            and scope.class_name is not None:
+        cls_info = info.classes.get(scope.class_name)
+        if cls_info is not None:
+            return project._method_in_mro(cls_info, node.attr)
+        return None
+    if isinstance(node, ast.Name):
+        # A name bound by a def directly in the enclosing function.
+        if in_function:
+            for nested in scope.defs:
+                if nested.node.name == node.id:
+                    return FunctionInfo(
+                        module=info.name, name=node.id,
+                        qualname=f"{info.name}:{nested.qualname}",
+                        scope=nested)
+        if node.id in info.functions:
+            return info.functions[node.id]
+        origin = info.index.from_imports.get(node.id)
+        if origin is not None:
+            return project.resolve_dotted(origin)
+    return None
 
 
 def extract_sites(project: Project) -> tuple[list[PublishSite],
                                              list[SubscribeSite]]:
     """All statically resolvable publish/subscribe sites, in
     deterministic (module, line) order."""
-    extractor = _SiteExtractor(project)
-    extractor.extract()
+    publishes: list[PublishSite] = []
+    subscribes: list[SubscribeSite] = []
+    for name in sorted(project.modules):
+        info = project.modules[name]
+        for scope in info.index.scopes.values():
+            for call in scope.calls + scope.lambda_calls:
+                site = _site(call, info, scope, project)
+                if isinstance(site, PublishSite):
+                    publishes.append(site)
+                elif site is not None:
+                    subscribes.append(site)
     key = (lambda s: (s.rel_path, s.lineno, s.pattern.text))
-    return (sorted(extractor.publishes, key=key),
-            sorted(extractor.subscribes, key=key))
+    return sorted(publishes, key=key), sorted(subscribes, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +316,7 @@ def check_dead_topics(publishes: list[PublishSite],
 
 
 def _handler_payload_param(handler: FunctionInfo) -> str | None:
-    args = [a.arg for a in handler.node.args.args]
+    args = [a.arg for a in handler.scope.node.args.args]
     if handler.class_name is not None and args and \
             args[0] in ("self", "cls"):
         args = args[1:]
@@ -385,7 +340,7 @@ def _check_handler_keys(site: SubscribeSite) -> list[Finding]:
         return []
     names = {payload_name}
     findings: list[Finding] = []
-    for node in function_body_nodes(site.handler.node):
+    for node in site.handler.scope.nodes:
         # Track `data = payload or {}` style aliases.
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \

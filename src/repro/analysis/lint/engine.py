@@ -1,10 +1,11 @@
 """continuum-lint: the AST rule engine.
 
-One walk per file: the engine parses the module, builds an import map
-(so rules can resolve ``rnd.random()`` back to ``random.random`` no
-matter how the module was imported), dispatches every AST node to the
-rules that registered interest in its type, then filters the collected
-findings through suppression pragmas.
+One walk per file, literally: parsing builds the module's
+:class:`~repro.analysis.index.ModuleIndex` in a single traversal, and
+the engine only reads it. The index's import maps let rules resolve
+``rnd.random()`` back to ``random.random`` no matter how the module was
+imported; its nodes grouped by type feed each rule the node types it
+registered for; its parsed pragmas then filter the collected findings.
 
 Pragma syntax (documented in DESIGN.md):
 
@@ -17,16 +18,14 @@ Pragma syntax (documented in DESIGN.md):
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.cache import ParseCache, ParsedFile, parse_source
+from repro.analysis.cache import (ParseCache, ParsedFile, parse_source,
+                                  python_files)
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, Severity, assign_occurrences
-
-_PRAGMA = re.compile(
-    r"#\s*continuum-lint:\s*(disable(?:-file)?)\s*(?:=\s*([\w,\-\s]+))?")
+from repro.analysis.index import ModuleIndex
 
 
 @dataclass
@@ -34,13 +33,9 @@ class LintContext:
     """Per-file state shared with every rule during the walk."""
 
     rel_path: str
-    tree: ast.Module
+    index: ModuleIndex
     lines: list[str]
     config: AnalysisConfig
-    # alias -> dotted module name ("np" -> "numpy")
-    import_aliases: dict[str, str] = field(default_factory=dict)
-    # local name -> dotted origin ("randint" -> "random.randint")
-    from_imports: dict[str, str] = field(default_factory=dict)
     findings: list[Finding] = field(default_factory=list)
 
     def source_line(self, lineno: int) -> str:
@@ -77,10 +72,10 @@ class LintContext:
             return None
         head = current.id
         parts.reverse()
-        if head in self.import_aliases:
-            return ".".join([self.import_aliases[head]] + parts)
-        if head in self.from_imports:
-            return ".".join([self.from_imports[head]] + parts)
+        if head in self.index.aliases:
+            return ".".join([self.index.aliases[head]] + parts)
+        if head in self.index.from_imports:
+            return ".".join([self.index.from_imports[head]] + parts)
         if not parts and head in ("hash",):  # builtin of interest
             return head
         return None
@@ -120,55 +115,6 @@ def all_rules() -> dict[str, type[Rule]]:
     return dict(_REGISTRY)
 
 
-def _collect_imports(tree: ast.Module, ctx: LintContext) -> None:
-    # Shared with the flow symbol table: one resolution semantics for
-    # both engines (`import numpy as np` -> "np": "numpy", `from random
-    # import randint as ri` -> "ri": "random.randint").
-    from repro.analysis.flow.symbols import collect_import_maps
-    aliases, from_imports = collect_import_maps(tree)
-    ctx.import_aliases.update(aliases)
-    ctx.from_imports.update(from_imports)
-
-
-def _parse_pragmas(lines: list[str]) -> tuple[
-        dict[int, set[str] | None], dict[str, bool], bool]:
-    """Return (line pragmas, file-wide disabled rules, disable-all-file).
-
-    A ``None`` rule set means "all rules" for that line.
-    """
-    line_pragmas: dict[int, set[str] | None] = {}
-    file_disabled: dict[str, bool] = {}
-    file_all = False
-    for lineno, line in enumerate(lines, start=1):
-        match = _PRAGMA.search(line)
-        if not match:
-            continue
-        kind, rules_text = match.groups()
-        rules = None
-        if rules_text:
-            rules = {r.strip() for r in rules_text.split(",") if r.strip()}
-        if kind == "disable":
-            line_pragmas[lineno] = rules
-        else:  # disable-file
-            if rules is None:
-                file_all = True
-            else:
-                for rule in rules:
-                    file_disabled[rule] = True
-    return line_pragmas, file_disabled, file_all
-
-
-def _suppressed(finding: Finding,
-                line_pragmas: dict[int, set[str] | None],
-                file_disabled: dict[str, bool], file_all: bool) -> bool:
-    if file_all or file_disabled.get(finding.rule):
-        return True
-    if finding.line in line_pragmas:
-        rules = line_pragmas[finding.line]
-        return rules is None or finding.rule in rules
-    return False
-
-
 class LintEngine:
     """Runs the registered rules over a set of Python files."""
 
@@ -183,24 +129,17 @@ class LintEngine:
                 continue
             if config.rule_enabled(rule_id):
                 self.rules.append(cls())
+        #: node type -> the rules registered for it, in rule-id order
+        self.dispatch: dict[type, list[Rule]] = {}
+        for rule in self.rules:
+            for node_type in rule.node_types:
+                self.dispatch.setdefault(node_type, []).append(rule)
 
     def run(self, paths: list[str | Path] | None = None) -> list[Finding]:
         """Lint *paths* (files or directories); returns all findings."""
-        root = self.config.root
-        targets = [Path(p) for p in (paths or self.config.paths)]
-        files: list[Path] = []
-        for target in targets:
-            target = target if target.is_absolute() else root / target
-            if target.is_dir():
-                files.extend(sorted(target.rglob("*.py")))
-            elif target.suffix == ".py":
-                files.append(target)
         findings: list[Finding] = []
-        for file_path in files:
-            try:
-                rel = str(file_path.relative_to(root))
-            except ValueError:
-                rel = str(file_path)
+        for file_path, rel in python_files(self.config.root,
+                                           paths or self.config.paths):
             if self.config.is_excluded(rel):
                 continue
             findings.extend(self.lint_file(file_path, rel))
@@ -228,17 +167,12 @@ class LintEngine:
                 severity=Severity.ERROR,
                 context=lines[lineno - 1].strip()
                 if 0 < lineno <= len(lines) else "")]
-        ctx = LintContext(rel_path=rel_path, tree=parsed.tree,
-                          lines=lines, config=self.config)
-        _collect_imports(parsed.tree, ctx)
-        dispatch: dict[type, list[Rule]] = {}
-        for rule in self.rules:
-            for node_type in rule.node_types:
-                dispatch.setdefault(node_type, []).append(rule)
-        for node in ast.walk(parsed.tree):
-            for rule in dispatch.get(type(node), ()):
-                rule.on_node(node, ctx)
-        line_pragmas, file_disabled, file_all = _parse_pragmas(lines)
+        index = parsed.index
+        ctx = LintContext(rel_path=rel_path, index=index, lines=lines,
+                          config=self.config)
+        for node_type, rules in self.dispatch.items():
+            for node in index.by_type.get(node_type, ()):
+                for rule in rules:
+                    rule.on_node(node, ctx)
         return [f for f in ctx.findings
-                if not _suppressed(f, line_pragmas, file_disabled,
-                                   file_all)]
+                if not index.pragmas.suppresses(f)]

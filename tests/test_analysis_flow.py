@@ -7,6 +7,7 @@ gate — that the real repo analyzes clean and produces a deterministic
 topic graph for the fault→evict→MAPE→bind flow.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from repro.analysis.config import AnalysisConfig, load_config
 from repro.analysis.flow import (FLOW_RULES, TopicPattern,
                                  analyze_des_contracts, analyze_topic_flow,
                                  build_topic_graph, contracts_for,
-                                 graph_to_dot, load_project,
+                                 extract_sites, graph_to_dot, load_project,
                                  pattern_from_ast, patterns_intersect,
                                  run_flow, segment_violations)
 from repro.analysis.flow.symbols import Project
@@ -44,7 +45,7 @@ def make_project(sources: dict[str, str]) -> Project:
     for rel_path, source in sorted(sources.items()):
         parsed = parse_source(source)
         assert parsed.tree is not None, parsed.error
-        project.add_module(rel_path, parsed.tree, parsed.lines)
+        project.add_module(rel_path, parsed)
     project.build_indexes()
     return project
 
@@ -278,10 +279,14 @@ class TestTopicFlowRules:
         (pkg / "x.py").write_text(
             "def f(bus):\n"
             "    bus.publish('no.such.ns', {})"
-            "  # continuum-lint: disable=flow-undeclared-topic\n")
+            "  # continuum-lint: disable=flow-undeclared-topic\n"
+            "    bus.subscribe('mirto.mape.sense', h)"
+            "  # continuum-lint: disable\n"
+            "    bus.publish('other.ns', {})\n")
         config = AnalysisConfig(root=tmp_path, flow_paths=["src"])
         findings = run_flow(config)
-        assert "flow-undeclared-topic" not in rules_of(findings)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("flow-undeclared-topic", 4)]
 
 
 class TestDesRules:
@@ -370,6 +375,35 @@ class TestDesRules:
         assert "des-handler-yields" in \
             rules_of(analyze_topic_flow(project))
 
+    def test_handler_name_resolves_past_a_sibling_helpers_body(self):
+        # The generator `on_tick` is local to `helper`; the name
+        # `on_tick` in `start` is the module-level function.
+        project = make_project({"src/repro/demo.py": (
+            "def on_tick(topic, payload):\n"
+            "    return None\n"
+            "class Watcher:\n"
+            "    def start(self, bus):\n"
+            "        def helper():\n"
+            "            def on_tick(topic, payload):\n"
+            "                yield 1\n"
+            "            return on_tick\n"
+            "        bus.subscribe('shard.epoch.barrier', on_tick)\n")})
+        _, [site] = extract_sites(project)
+        assert site.handler_name == "repro.demo:on_tick"
+        assert "des-handler-yields" not in \
+            rules_of(analyze_topic_flow(project))
+
+    def test_handler_defined_in_the_subscribing_function(self):
+        project = make_project({"src/repro/demo.py": (
+            "def wire(bus):\n"
+            "    def on_tick(topic, payload):\n"
+            "        yield 1\n"
+            "    bus.subscribe('shard.epoch.barrier', on_tick)\n")})
+        _, [site] = extract_sites(project)
+        assert site.handler_name == "repro.demo:wire.on_tick"
+        assert "des-handler-yields" in \
+            rules_of(analyze_topic_flow(project))
+
 
 # ---------------------------------------------------------------------------
 # parse cache
@@ -407,8 +441,18 @@ class TestParseCache:
         assert cache.save(cache_file)
         restored = ParseCache.load(cache_file)
         assert len(restored) == 1
-        restored.parse(target)
+        parsed = restored.parse(target)
         assert (restored.hits, restored.misses) == (1, 0)
+        # The index is pickled with the tree, so it still points into it.
+        tree, index = parsed.tree, parsed.index
+        [func] = tree.body
+        assert index.module.node is tree
+        assert index.scopes[func].node is func
+        assert index.by_type[ast.FunctionDef] == [func]
+        assert index.scopes[func].nodes[0] is func.body[0]
+        walked = {id(node) for node in ast.walk(tree)}
+        assert all(id(node) in walked
+                   for nodes in index.by_type.values() for node in nodes)
 
     def test_corrupt_cache_degrades_to_empty(self, tmp_path):
         cache_file = tmp_path / "cache.bin"
